@@ -30,6 +30,7 @@ from .structures import BDStructure, CyclicPermutation, OrderedBDStructure
 from .tensors import Tensor2
 
 __all__ = [
+    "CrossCheckFailed",
     "SplittingMatrix",
     "is_simple",
     "precedes",
@@ -49,6 +50,10 @@ __all__ = [
     "row_sums",
     "row_sum_rule_holds",
 ]
+
+
+class CrossCheckFailed(RuntimeError):
+    """Two independent derivations of the same combinatorial data disagree."""
 
 
 @dataclass(frozen=True)
@@ -231,9 +236,13 @@ def bd_from_matrix(m: SplittingMatrix) -> OrderedBDStructure:
     bd = BDStructure(c0, c, gamma1)
     obd = OrderedBDStructure(bd, (order[-1], order[0]))
     # the chain-closure description must agree with the matrix-level one
-    assert bd.p1 == p1_matrix, "chain closure disagrees with the matrix pair set"
-    assert all(bd.tau(a, 1) == matrix_tau(m, a, 1) for a in sorted(bd.p1))
-    assert obd.alpha0 not in bd.gamma2
+    if bd.p1 != p1_matrix:
+        raise CrossCheckFailed("chain closure disagrees with the matrix pair set")
+    for a in sorted(bd.p1):
+        if bd.tau(a, 1) != matrix_tau(m, a, 1):
+            raise CrossCheckFailed(f"structure tau disagrees with the matrix tau at {a}")
+    if obd.alpha0 in bd.gamma2:
+        raise CrossCheckFailed(f"marked edge {obd.alpha0} lies in Gamma2")
     return obd
 
 

@@ -38,6 +38,14 @@ def _parse_complex(text: str) -> complex:
     raise CliError(f"cannot parse complex number from {text!r}; use RE or RE,IM")
 
 
+def _count(text: str) -> int:
+    """argparse type for a sample or trial count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _complex_pairs(array: np.ndarray):
     out = np.stack([array.real, array.imag], axis=-1)
     return out.tolist()
@@ -235,10 +243,9 @@ def _cmd_bundle_bd(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     m = _load_matrix(args)
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    trials = 0
+    devs = []
     rejects = 0
-    while trials < args.trials:
+    while len(devs) < args.trials:
         x, y, yp = (
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)
         )
@@ -247,15 +254,14 @@ def _cmd_oracle_compare(args) -> int:
             if rejects > 10_000:
                 raise CliError("could not find guarded parameter triples")
             continue
-        trials += 1
-        worst = max(
-            worst,
+        devs.append(
             bundles.massey_closed(m, x, y, yp).max_abs_diff(
                 bundles.massey_oracle(m, x, y, yp)
-            ),
+            )
         )
+    worst = float(np.max(devs))  # NaN if any trial is NaN, where max() drops a later one
     doc = {
-        "trials": trials,
+        "trials": len(devs),
         "seed": args.seed,
         "max_deviation": worst,
         "tol": args.tol,
@@ -295,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, structure=False, matrix=False):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=32)
+        sp.add_argument("--samples", type=_count, default=32)
         sp.add_argument("--tol", type=float, default=None,
                         help="residual tolerance (per-suite default when omitted)")
         sp.add_argument("--out", default=None)
@@ -340,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_bundle_bd)
 
     sp = sub.add_parser("oracle-compare", help="closed form vs gluing-system solve")
-    sp.add_argument("--trials", type=int, default=16)
+    sp.add_argument("--trials", type=_count, default=16)
     common(sp, matrix=True)
     sp.set_defaults(fn=_cmd_oracle_compare)
     sp.set_defaults(tol=1e-9)
@@ -361,7 +367,7 @@ def main(argv=None) -> int:
         return _USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CliError, InvalidStructure, solutions.PoleError, ValueError) as exc:
+    except (CliError, InvalidStructure, solutions.PoleError, ValueError, verify.SamplerExhausted) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return _USAGE_ERROR
 

@@ -24,6 +24,7 @@ __all__ = [
     "diag_P0",
     "tensor_of",
     "embed",
+    "rmul_embed",
     "compose2",
     "compose3",
     "swap_factors",
@@ -218,26 +219,51 @@ def swap_factors(t: Tensor2) -> Tensor2:
     return Tensor2(t.n, t.coeffs.transpose(2, 3, 0, 1))
 
 
+def _slot_pair(slots) -> tuple[int, int]:
+    i, j = slots
+    if i == j or not {i, j} <= {1, 2, 3}:
+        raise ValueError("slots must be two distinct factors from {1, 2, 3}")
+    return i, j
+
+
 def embed(t: Tensor2, slots: tuple[int, int]) -> Tensor3:
     """Place a two-factor tensor into slots of A (x) A (x) A, identity elsewhere.
 
     ``slots`` is an ordered pair from {1, 2, 3}; for reversed order the
     factors are swapped first, so embed(t, (2, 1)) == embed(t^21, (1, 2)).
     """
-    i, j = slots
-    if i == j or not {i, j} <= {1, 2, 3}:
-        raise ValueError("slots must be two distinct factors from {1, 2, 3}")
+    i, j = _slot_pair(slots)
     if i > j:
         return embed(swap_factors(t), (j, i))
-    n = t.n
-    eye = np.eye(n)
+    eye = np.eye(t.n)
+    c = t.coeffs
     if (i, j) == (1, 2):
-        c = np.einsum("pqrs,tu->pqrstu", t.coeffs, eye)
+        c = c[:, :, :, :, None, None] * eye
     elif (i, j) == (1, 3):
-        c = np.einsum("pqtu,rs->pqrstu", t.coeffs, eye)
+        c = c[:, :, None, None] * eye[:, :, None, None]
     else:  # (2, 3)
-        c = np.einsum("rstu,pq->pqrstu", t.coeffs, eye)
-    return Tensor3(n, c)
+        c = c * eye[:, :, None, None, None, None]
+    return Tensor3(t.n, c)
+
+
+def rmul_embed(x: np.ndarray, t: Tensor2, slots: tuple[int, int]) -> np.ndarray:
+    """``x @ embed(t, slots).op_matrix()`` for an N^3 x N^3 operator ``x``.
+
+    The embedded operand is never formed: the column index of ``x`` is split
+    into the three factors, the two in ``slots`` are contracted with ``t``'s
+    operator flattening, and the factors are put back in order.  That is one
+    (N^4 x N^2) by (N^2 x N^2) matrix product, O(N^8) instead of the O(N^9)
+    dense product.  The first factor of ``t`` acts on slot ``slots[0]``, so a
+    reversed pair means the swapped tensor, as in ``embed``.
+    """
+    i, j = _slot_pair(slots)
+    k = 6 - i - j
+    n = t.n
+    if x.shape != (n ** 3, n ** 3):
+        raise ValueError(f"operator must have shape {(n ** 3, n ** 3)}, got {x.shape}")
+    # one expression, so the transposed copy of x is freed before the output copy
+    y = x.reshape(n ** 3, n, n, n).transpose(0, k, i, j).reshape(n ** 4, n * n) @ t.op_matrix()
+    return np.moveaxis(y.reshape(n ** 3, n, n, n), (1, 2, 3), (k, i, j)).reshape(n ** 3, n ** 3)
 
 
 def project_sl(t: Tensor2, slots=(1, 2)) -> Tensor2:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from aybe import bundles
 from aybe.bundles import (
+    CrossCheckFailed,
     SplittingMatrix,
     bd_from_matrix,
     hom_dim,
@@ -143,6 +145,14 @@ def test_bd_from_matrix_example_has_empty_gamma1():
     obd = bd_from_matrix(tau_free_matrix(2, 3))
     assert obd.bd.gamma1 == frozenset()
     assert realizable(obd)
+
+
+def test_bd_from_matrix_cross_check_raises(monkeypatch):
+    m = matrix_from_sequence(3, 2, (1, 1, 2))
+    assert bd_from_matrix(m).bd.p1  # the tau cross-check has pairs to compare
+    monkeypatch.setattr(bundles, "matrix_tau", lambda m, a, k=1: None)
+    with pytest.raises(CrossCheckFailed):
+        bd_from_matrix(m)
 
 
 def test_bd_from_matrix_row_sum_rule():

@@ -81,6 +81,37 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "unitarity", "--samples", "0"),
+        ("verify", "--suite", "unitarity", "--samples", "-3"),
+        ("oracle-compare", "--trials", "0"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    spath = tmp_path / "bd.json"
+    spath.write_text(structure_to_json(enumerate_structures(2)[1]))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(matrix_from_sequence(3, 2, (1, 2, 2)).to_json())
+    source = ("--structure", str(spath)) if argv[0] == "verify" else ("--matrix", str(mpath))
+    code, out, _ = run(capsys, *argv, *source)
+    assert code == 2 and out == ""
+
+
+def test_sampler_exhaustion_is_usage_error(tmp_path, capsys, monkeypatch):
+    from aybe import verify
+
+    bd = enumerate_structures(2)[1]
+    path = tmp_path / "bd.json"
+    path.write_text(structure_to_json(bd))
+    monkeypatch.setattr(verify, "_guard_all", lambda *args: False)
+    code, out, err = run(capsys, "verify", "--suite", "aybe", "--structure", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "rejections" in json.loads(err)["error"]
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, "enumerate", "--n", "2", "--bogus")[0] == 2
 
@@ -155,6 +186,26 @@ def test_oracle_compare(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True and doc["max_deviation"] <= 1e-9 and doc["trials"] == 8
+
+
+def test_oracle_compare_nan_on_later_trial_fails(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    from aybe import bundles
+
+    real, calls = bundles.massey_closed, []
+
+    def closed(*args):
+        t = real(*args)
+        calls.append(None)
+        return bundles.MasseyMap(t.n, np.full_like(t.matrix, np.nan)) if len(calls) == 3 else t
+
+    monkeypatch.setattr(bundles, "massey_closed", closed)
+    path = tmp_path / "m.json"
+    path.write_text(matrix_from_sequence(3, 2, (1, 2, 2)).to_json())
+    code, out, _ = run(capsys, "oracle-compare", "--matrix", str(path), "--trials", "5")
+    assert len(calls) == 5 and code == 1
+    assert json.loads(out)["pass"] is False
 
 
 def test_report_round_trip(tmp_path, capsys):

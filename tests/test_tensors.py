@@ -15,6 +15,7 @@ from aybe.tensors import (
     partial_trace,
     perm_P,
     project_sl,
+    rmul_embed,
     swap_factors,
     sym_commutator,
     tensor_of,
@@ -87,6 +88,57 @@ def test_embed_reversed_slots(rng):
 def test_embed_rejects_equal_slots():
     with pytest.raises(ValueError):
         embed(unit2(2), (2, 2))
+
+
+def test_embed_matches_einsum_form():
+    rng = np.random.default_rng(5)
+    forms = {
+        (1, 2): "pqrs,tu->pqrstu",
+        (1, 3): "pqtu,rs->pqrstu",
+        (2, 3): "rstu,pq->pqrstu",
+    }
+    for n in (1, 2, 3):
+        t = rand_tensor2(rng, n)
+        for slots, spec in forms.items():
+            expected = np.einsum(spec, t.coeffs, np.eye(n))
+            assert np.array_equal(embed(t, slots).coeffs, expected)
+
+
+SLOT_PAIRS = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
+
+
+def dense_op(t, slots):
+    return embed(t, slots).op_matrix()
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_rmul_embed_matches_dense_product(n):
+    rng = np.random.default_rng(1000 + n)
+    a, b = rand_tensor2(rng, n), rand_tensor2(rng, n)
+    for left in SLOT_PAIRS:
+        x = dense_op(a, left)
+        for right in SLOT_PAIRS:
+            ref = x @ dense_op(b, right)
+            assert rel_err(rmul_embed(x, b, right), ref) < 1e-13, (left, right)
+
+
+def test_rmul_embed_three_factor_chain():
+    rng = np.random.default_rng(7)
+    a, b, c = (rand_tensor2(rng, 3) for _ in range(3))
+    ref = dense_op(a, (1, 2)) @ dense_op(b, (3, 1)) @ dense_op(c, (2, 3))
+    got = rmul_embed(rmul_embed(dense_op(a, (1, 2)), b, (3, 1)), c, (2, 3))
+    assert rel_err(got, ref) < 1e-13
+
+
+def test_rmul_embed_validates_arguments():
+    with pytest.raises(ValueError):
+        rmul_embed(np.eye(8), unit2(2), (2, 2))
+    with pytest.raises(ValueError):
+        rmul_embed(np.eye(27), unit2(2), (1, 2))
 
 
 def test_compose2_with_unit_and_assoc(rng):

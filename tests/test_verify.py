@@ -7,6 +7,7 @@ import pytest
 
 from aybe.solutions import (
     RFun,
+    abc_parts,
     laurent_r0,
     nilpotent_r,
     quantum_R,
@@ -17,6 +18,7 @@ from aybe.solutions import (
 from aybe.structures import BDStructure, CyclicPermutation, OrderedBDStructure
 from aybe.tensors import Tensor2, perm_P, unit2
 from aybe.verify import (
+    Report,
     SamplePlan,
     SamplerExhausted,
     perturb,
@@ -49,6 +51,38 @@ def test_report_json_fields(bd3):
     doc = json.loads(rep.to_json())
     assert set(doc) == {"suite", "seed", "samples", "max_residual", "tol", "pass"}
     assert doc["samples"] == 4 and doc["seed"] == 1 and doc["pass"] is True
+
+
+def test_report_fails_on_any_non_finite_sample():
+    nan, inf = float("nan"), float("inf")
+    for per in ((1e-16, nan, 2e-16), (nan, 1e-16), (1e-16, 2e-16, inf)):
+        rep = Report("aybe", SamplePlan(count=len(per)), per, 1e-8)
+        assert not np.isfinite(rep.max_residual) and not rep.passed, per
+    assert Report("aybe", SamplePlan(count=2), (1e-16, 3e-16), 1e-8).max_residual == 3e-16
+
+
+def test_nan_on_a_later_sample_fails_the_report(bd3):
+    r = trigonometric_r(bd3)
+
+    def fn(u, v):
+        # NaN only where Im v > 1; the unitarity suite evaluates at v and -v
+        t = r(u, v)
+        return Tensor2(t.n, t.coeffs * (np.nan if v.imag > 1.0 else 1.0))
+
+    rep = residual_unitarity(RFun(r.n, "trig+nan", 2, fn, r.guards), SamplePlan(seed=5, count=8))
+    assert np.isfinite(rep.per_sample[0])
+    assert any(np.isnan(rep.per_sample[1:]))
+    assert np.isnan(rep.max_residual) and not rep.passed
+
+
+def test_nan_in_a_later_abc_condition_fails_the_report(bd4):
+    def nan_c(obd, x):
+        a, b, c = abc_parts(obd, x)
+        return a, b, Tensor2(c.n, c.coeffs * np.nan)
+
+    obd = OrderedBDStructure(bd4, (4, 1))
+    rep = residual_abc(obd, SamplePlan(seed=8, count=2), parts=nan_c)
+    assert all(np.isnan(rep.per_sample)) and not rep.passed
 
 
 def test_sampler_exhaustion():
