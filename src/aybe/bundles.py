@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solutions import Guard, PoleError, RFun
+from .solutions import PoleError, RFun, multiplicative_guards
 from .structures import BDStructure, CyclicPermutation, OrderedBDStructure
 from .tensors import Tensor2
 
@@ -41,6 +41,7 @@ __all__ = [
     "sequence_from_structure",
     "realizable",
     "hom_dim",
+    "gluing_sigma_min",
     "MasseyMap",
     "massey_closed",
     "massey_oracle",
@@ -340,8 +341,80 @@ def tau_free_matrix(N: int, n: int) -> SplittingMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _degree(m: SplittingMatrix, i: int, ip: int, j: int) -> int:
-    return m.rows[i - 1][j] - m.rows[ip - 1][j]
+def _orbit_blocks(m: SplittingMatrix, x, y=None):
+    """The gluing system over one period, split into its N shift-orbit blocks.
+
+    Entry (i, i', j) is glued to (i, i', j - 1), and at j = 0 to
+    (i + k, i' + k, n - 1) with the factor x, so no equation leaves the
+    difference class delta = i' - i mod N.  Block delta (the leading axis)
+    holds the pairs (i, i + delta) for i = 0..N-1 (0-based rows), and its
+    equation i*n + j reads
+
+        value at 0 of (i, i + delta, j) = f * value at infinity of its predecessor,
+
+    with f = x at j = 0 and 1 otherwise.  An entry of degree d has
+    max(d + 1, 0) coefficient unknowns, numbered consecutively in equation
+    order within its block; the first is its value at 0 and the last its
+    value at infinity.  Blocks with fewer unknowns than the largest are
+    padded with zero columns; for a simple matrix there are none, since
+    row sums cancel over an orbit and leave every block N*n unknowns.
+
+    With ``y`` given, column 0 is twisted by the point y for the residue
+    problem: an entry of degree -1 there has no unknowns and values -b at 0
+    and y*b at infinity, one of degree 0 exceeds its value at 0 by b at
+    infinity, where b is the residue of its pair.  ``rhs`` then has one
+    column per residue of the block, in pair order; otherwise it is None.
+
+    Returns (deg, first, last, a, rhs): degrees (N, N, n), the unknown index
+    of each entry's value at 0 and at infinity (-1 when it has none), the
+    stacked coefficient blocks and the right-hand sides.
+    """
+    N, n, k = m.n_rows, m.n_cols, m.shift
+    rows = np.array(m.rows)
+    i = np.arange(N)
+    deg = rows - rows[(i[:, None] + i) % N]  # deg[delta, i, j] = m^j_i - m^j_{i + delta}
+    cnt = np.maximum(deg + 1, 0).reshape(N, N * n)
+    first = np.cumsum(cnt, axis=1) - cnt
+    last = first + cnt - 1
+    first[cnt == 0] = last[cnt == 0] = -1
+    first, last = first.reshape(N, N, n), last.reshape(N, N, n)
+
+    def behind(v):
+        """``v`` at each equation's predecessor entry."""
+        return np.concatenate([v[:, (i + k) % N, -1:], v[:, :, :-1]], axis=2)
+
+    factor = np.broadcast_to(np.array([x] + [1.0] * (n - 1), dtype=complex), deg.shape)
+    block = np.broadcast_to(i[:, None, None], deg.shape)
+    eq = np.broadcast_to(np.arange(N * n).reshape(N, n), deg.shape)
+    a = np.zeros((N, N * n, cnt.sum(axis=1).max()), dtype=complex)
+    for unknown, coef in ((first, 1.0), (behind(last), -factor)):
+        on = unknown >= 0
+        a[block[on], eq[on], unknown[on]] += np.broadcast_to(coef, deg.shape)[on]
+    if y is None:
+        return deg, first, last, a, None
+    at_infinity = np.zeros(deg.shape, dtype=complex)
+    at_infinity[..., 0] = np.where(deg[..., 0] == -1, y, (deg[..., 0] == 0).astype(float))
+    residue = np.broadcast_to(i[None, :, None], deg.shape)
+    rhs = np.zeros((N, N * n, N), dtype=complex)
+    rhs[block, eq, behind(residue)] += factor * behind(at_infinity)
+    rhs[block[..., 0], eq[..., 0], residue[..., 0]] += deg[..., 0] == -1
+    return deg, first, last, a, rhs
+
+
+def _sigma_min(a: np.ndarray) -> float:
+    """Smallest singular value of a block-diagonal system given as its stacked blocks."""
+    return float(np.linalg.svd(a, compute_uv=False)[:, -1].min())
+
+
+def gluing_sigma_min(m: SplittingMatrix, x) -> float:
+    """Smallest singular value of the gluing system at x.
+
+    The system's coefficients do not depend on the twist, so this is the
+    value ``massey_oracle`` compares with its ``sv_floor`` at any y, y'.
+    It is the minimum over the shift-orbit blocks, since permuting rows and
+    columns into blocks leaves the singular values unchanged.
+    """
+    return _sigma_min(_orbit_blocks(m, complex(x))[3])
 
 
 def hom_dim(m: SplittingMatrix, x) -> int:
@@ -349,40 +422,12 @@ def hom_dim(m: SplittingMatrix, x) -> int:
 
     Sections of O(d) contribute max(d + 1, 0) coefficient unknowns whose
     first and last entries are the values at 0 and infinity; the wrap
-    equation carries the factor x and the row shift.
+    equation carries the factor x and the row shift.  The system splits
+    into one block per shift orbit of row pairs, so the rank is the sum of
+    the blocks' ranks.  Works for any matrix, simple or not.
     """
-    N, n, k = m.n_rows, m.n_cols, m.shift
-    x = complex(x)
-    index: dict[tuple, tuple[int, int]] = {}
-    total = 0
-    for i in range(1, N + 1):
-        for ip in range(1, N + 1):
-            for j in range(n):
-                cnt = max(_degree(m, i, ip, j) + 1, 0)
-                index[(i, ip, j)] = (total, cnt)
-                total += cnt
-
-    def val_row(i, ip, j, at_infinity):
-        row = np.zeros(total, dtype=complex)
-        start, cnt = index[(i, ip, j)]
-        if cnt:
-            row[start + (cnt - 1 if at_infinity else 0)] = 1.0
-        return row
-
-    rows = []
-    for i in range(1, N + 1):
-        for ip in range(1, N + 1):
-            for j in range(n):
-                if j == 0:
-                    prev = val_row(m.wrap(i + k), m.wrap(ip + k), n - 1, True)
-                    rows.append(val_row(i, ip, 0, False) - x * prev)
-                else:
-                    rows.append(val_row(i, ip, j, False) - val_row(i, ip, j - 1, True))
-    if total == 0:
-        return 0
-    a = np.array(rows)
-    rank = int(np.linalg.matrix_rank(a))
-    return total - rank
+    deg, _, _, a, _ = _orbit_blocks(m, complex(x))
+    return int(np.maximum(deg + 1, 0).sum() - np.linalg.matrix_rank(a).sum())
 
 
 @dataclass(frozen=True)
@@ -470,85 +515,32 @@ def massey_oracle(m: SplittingMatrix, x, y, yp, sv_floor: float = 1e-8) -> Masse
     value at 0 for degree 0 (the value at infinity exceeds it by the
     residue on the twisted column), and the two endpoint values for
     degree 1.  The period equations with the x-twisted, row-shifted wrap
-    are solved for all matrix-unit residues at once, then the twisted
-    column is evaluated at y'.  Entirely independent of the closed form.
+    only couple row pairs (i, i') with the same difference i' - i mod N, so
+    the system is solved one shift-orbit block at a time: each block is
+    square (row sums cancel over an orbit, leaving N*n unknowns) and is
+    solved for the N matrix-unit residues of its own pairs.  The twisted
+    column is then evaluated at y'.  ``PoleError`` is raised when the
+    smallest singular value over all blocks, which is that of the whole
+    system, is at most ``sv_floor``.  Entirely independent of the closed
+    form.
     """
     _require_simple(m)
-    N, n, k = m.n_rows, m.n_cols, m.shift
+    N = m.n_rows
     x, y, yp = _check_massey_args(m, x, y, yp, margin=1e-12)
-    nb = N * N
+    deg, first, last, a, rhs = _orbit_blocks(m, x, y)
+    sv = _sigma_min(a)
+    if sv <= sv_floor:
+        raise PoleError(f"gluing system is singular at x={x} (sigma_min={sv:.2e})")
+    w = np.linalg.solve(a, rhs)  # unknown values per residue of the block
 
-    index: dict[tuple, tuple[int, int]] = {}
-    total = 0
-    for i in range(1, N + 1):
-        for ip in range(1, N + 1):
-            for j in range(n):
-                d = _degree(m, i, ip, j)
-                if j == 0:
-                    cnt = d + 1  # -1 -> none, 0 -> value at 0, 1 -> both endpoints
-                else:
-                    cnt = max(d + 1, 0)
-                index[(i, ip, j)] = (total, cnt)
-                total += cnt
-
-    def b_col(i, ip):
-        return (i - 1) * N + (ip - 1)
-
-    def value(i, ip, j, at_infinity):
-        """(unknown row, residue row) for the section value at an endpoint."""
-        w = np.zeros(total, dtype=complex)
-        rb = np.zeros(nb, dtype=complex)
-        start, cnt = index[(i, ip, j)]
-        d = _degree(m, i, ip, j)
-        if j == 0:
-            if d == -1:
-                rb[b_col(i, ip)] = y if at_infinity else -1.0
-            elif d == 0:
-                w[start] = 1.0
-                if at_infinity:
-                    rb[b_col(i, ip)] = 1.0
-            else:
-                w[start + (1 if at_infinity else 0)] = 1.0
-        else:
-            if cnt:
-                w[start + (cnt - 1 if at_infinity else 0)] = 1.0
-        return w, rb
-
-    a_rows, rhs_rows = [], []
-    for i in range(1, N + 1):
-        for ip in range(1, N + 1):
-            for j in range(n):
-                w0, r0 = value(i, ip, j, False)
-                if j == 0:
-                    wi, ri = value(m.wrap(i + k), m.wrap(ip + k), n - 1, True)
-                    factor = x
-                else:
-                    wi, ri = value(i, ip, j - 1, True)
-                    factor = 1.0
-                a_rows.append(w0 - factor * wi)
-                rhs_rows.append(-(r0 - factor * ri))
-    A = np.array(a_rows)
-    rhs = np.array(rhs_rows)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= sv_floor:
-        raise PoleError(f"gluing system is singular at x={x} (sigma_min={sv[-1]:.2e})")
-    W = np.linalg.solve(A, rhs)  # unknown values per residue basis vector
-
-    T = np.zeros((nb, nb), dtype=complex)
-    for i in range(1, N + 1):
-        for ip in range(1, N + 1):
-            row = np.zeros(nb, dtype=complex)
-            start, _ = index[(i, ip, 0)]
-            d = _degree(m, i, ip, 0)
-            if d == -1:
-                row[b_col(i, ip)] += y / (yp - y)
-            elif d == 0:
-                row[b_col(i, ip)] += yp / (yp - y)
-                row += W[start]
-            else:
-                row[b_col(i, ip)] += yp / (yp - y)
-                row += W[start] + yp * W[start + 1]
-            T[b_col(i, ip)] = row
+    # row (delta, i) maps the block's residues to a_{i, i + delta}(y') on column 0
+    d0, i = deg[..., 0], np.arange(N)
+    t = np.where((d0 >= 0)[..., None], w[i[:, None], first[..., 0]], 0.0)
+    t += np.where((d0 == 1)[..., None], yp * w[i[:, None], last[..., 0]], 0.0)
+    t[:, i, i] += np.where(d0 == -1, y, yp) / (yp - y)
+    pair = i * N + (i[:, None] + i) % N  # flattened (i, i + delta) for each block
+    T = np.zeros((N * N, N * N), dtype=complex)
+    T[pair[:, :, None], pair[:, None, :]] = t
     return MasseyMap(N, T)
 
 
@@ -603,11 +595,4 @@ def massey_r(m: SplittingMatrix) -> RFun:
     def fn(x, y, yp):
         return massey_tensor(m, x, y, yp)
 
-    guards = (
-        Guard("x^N - 1", (0,), lambda x, y, yp: abs(x ** N - 1.0)),
-        Guard("y - y'", (1, 2), lambda x, y, yp: abs(y - yp)),
-        Guard("x", (0,), lambda x, y, yp: abs(x)),
-        Guard("y", (1,), lambda x, y, yp: abs(y)),
-        Guard("y'", (2,), lambda x, y, yp: abs(yp)),
-    )
-    return RFun(N, "massey", 3, fn, guards)
+    return RFun(N, "massey", 3, fn, multiplicative_guards(N))

@@ -370,6 +370,9 @@ def main(argv=None) -> int:
     except (CliError, InvalidStructure, solutions.PoleError, ValueError, verify.SamplerExhausted) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return _USAGE_ERROR
+    except bundles.CrossCheckFailed as exc:  # the input was fine; two derivations disagree
+        print(json.dumps({"error": f"cross-check failed: {exc}"}), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

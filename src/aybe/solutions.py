@@ -45,6 +45,7 @@ __all__ = [
     "trigonometric_r",
     "quantum_R",
     "multiplicative_r",
+    "multiplicative_guards",
     "abc_parts",
     "difference_form",
     "gauge_transform",
@@ -289,14 +290,19 @@ def multiplicative_r(obd: OrderedBDStructure) -> RFun:
             c[ck_j - 1, ck_i - 1, i - 1, j - 1] -= yp * x ** (-k)
         return Tensor2(n, c)
 
-    guards = (
+    return RFun(n, "multiplicative", 3, fn, multiplicative_guards(n))
+
+
+def multiplicative_guards(n: int) -> tuple:
+    """Pole guards of a rank-n three-variable family r(x; y, y'): x^n = 1,
+    y = y', and x, y or y' at zero."""
+    return (
         Guard("x^N - 1", (0,), lambda x, y, yp: abs(x ** n - 1.0)),
         Guard("y - y'", (1, 2), lambda x, y, yp: abs(y - yp)),
         Guard("x", (0,), lambda x, y, yp: abs(x)),
         Guard("y", (1,), lambda x, y, yp: abs(y)),
         Guard("y'", (2,), lambda x, y, yp: abs(yp)),
     )
-    return RFun(n, "multiplicative", 3, fn, guards)
 
 
 def difference_form(obd: OrderedBDStructure) -> RFun:

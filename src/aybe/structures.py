@@ -371,6 +371,8 @@ def structure_from_json(text: str) -> BDStructure | OrderedBDStructure:
         CyclicPermutation(doc["c"]),
         [tuple(a) for a in doc["gamma1"]],
     )
+    if bd.n != doc["n"]:
+        raise ValueError("declared size disagrees with the permutations")
     if "alpha0" in doc:
         return OrderedBDStructure(bd, tuple(doc["alpha0"]))
     return bd

@@ -1,5 +1,7 @@
 """Splitting matrices: simplicity, order, derived structure, gluing solves."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from aybe.bundles import (
     CrossCheckFailed,
     SplittingMatrix,
     bd_from_matrix,
+    gluing_sigma_min,
     hom_dim,
     is_simple,
     massey_closed,
@@ -244,6 +247,162 @@ def test_hom_dim_degree_two_entries():
     m = SplittingMatrix(((2, 0), (0, 0)), 1)
     d = hom_dim(m, 0.9 + 0.2j)
     assert d >= 0
+
+
+# ---------------------------------------------------------------------------
+# the gluing system as one dense matrix: reference for the per-orbit solve
+# ---------------------------------------------------------------------------
+
+
+def dense_gluing_system(m, x, y=None):
+    """The whole gluing system, all N^2 n equations in one matrix.
+
+    Returns (index, A, rhs): the (start, count) of each entry's unknowns,
+    the coefficient matrix, and, for a twist point y, the right-hand sides
+    for all N^2 matrix-unit residues (else None).
+    """
+    N, n, k = m.n_rows, m.n_cols, m.shift
+    nb = N * N
+
+    def degree(i, ip, j):
+        return m.rows[i - 1][j] - m.rows[ip - 1][j]
+
+    index, total = {}, 0
+    for i in range(1, N + 1):
+        for ip in range(1, N + 1):
+            for j in range(n):
+                cnt = max(degree(i, ip, j) + 1, 0)
+                index[(i, ip, j)] = (total, cnt)
+                total += cnt
+
+    def value(i, ip, j, at_infinity):
+        """(unknown row, residue row) for the section value at an endpoint."""
+        w = np.zeros(total, dtype=complex)
+        rb = np.zeros(nb, dtype=complex)
+        start, cnt = index[(i, ip, j)]
+        d = degree(i, ip, j)
+        if y is not None and j == 0 and d == -1:
+            rb[(i - 1) * N + ip - 1] = y if at_infinity else -1.0
+        elif cnt:
+            w[start + (cnt - 1 if at_infinity else 0)] = 1.0
+            if y is not None and j == 0 and d == 0 and at_infinity:
+                rb[(i - 1) * N + ip - 1] = 1.0
+        return w, rb
+
+    a_rows, rhs_rows = [], []
+    for i in range(1, N + 1):
+        for ip in range(1, N + 1):
+            for j in range(n):
+                w0, r0 = value(i, ip, j, False)
+                if j == 0:
+                    wi, ri = value(m.wrap(i + k), m.wrap(ip + k), n - 1, True)
+                    factor = x
+                else:
+                    wi, ri = value(i, ip, j - 1, True)
+                    factor = 1.0
+                a_rows.append(w0 - factor * wi)
+                rhs_rows.append(-(r0 - factor * ri))
+    return index, np.array(a_rows), (np.array(rhs_rows) if y is not None else None)
+
+
+def dense_oracle(m, x, y, yp):
+    """The Massey map and the smallest singular value from one dense solve."""
+    N = m.n_rows
+    index, A, rhs = dense_gluing_system(m, x, y)
+    sigma_min = np.linalg.svd(A, compute_uv=False)[-1]
+    W = np.linalg.solve(A, rhs)
+    T = np.zeros((N * N, N * N), dtype=complex)
+    for i in range(1, N + 1):
+        for ip in range(1, N + 1):
+            b = (i - 1) * N + ip - 1
+            start, _ = index[(i, ip, 0)]
+            d = m.rows[i - 1][0] - m.rows[ip - 1][0]
+            T[b, b] = (y if d == -1 else yp) / (yp - y)
+            if d >= 0:
+                T[b] += W[start]
+            if d == 1:
+                T[b] += yp * W[start + 1]
+    return T, sigma_min
+
+
+def dense_hom_dim(m, x):
+    _, A, _ = dense_gluing_system(m, x)
+    return 0 if A.shape[1] == 0 else A.shape[1] - int(np.linalg.matrix_rank(A))
+
+
+def binomial_quantile(trials, q):
+    """Smallest s with P(Binomial(trials, 1/2) <= s) >= q."""
+    cdf = 0.0
+    for s in range(trials + 1):
+        cdf += math.comb(trials, s) / 2 ** trials
+        if cdf >= q:
+            return s
+    return trials
+
+
+def benchmark_sized_matrices(rng):
+    """One seeded matrix_from_sequence matrix per (N, n) for N = 2..10, with the
+    column counts the bundles-oracle benchmark draws at N = 6..10 (12 quantiles
+    of the number of unit steps), applied at every N."""
+    out = []
+    for N in range(2, 11):
+        shifts = [k for k in range(math.ceil(N / 2), N) if math.gcd(k, N) == 1]
+        for steps in sorted({binomial_quantile(N - 1, (j + 0.5) / 12) for j in range(12)}):
+            rises = set(rng.choice(N - 1, size=steps, replace=False).tolist())
+            seq = [1]
+            for i in range(N - 1):
+                seq.append(seq[-1] + (i in rises))
+            out.append(matrix_from_sequence(N, shifts[int(rng.integers(len(shifts)))], seq))
+    return out
+
+
+PINNED = SplittingMatrix(
+    ((0, 0, 0, 1, 0),) + ((0, 0, 1, 0, 0),) * 3 + ((0, 1, 0, 0, 0),) * 3 + ((1, 0, 0, 0, 1),) * 3,
+    shift=7,
+)
+PINNED_TRIPLE = (
+    0.06655192685766398 - 0.03079895588683934j,
+    1.2784166967675308 + 0.3359066608987118j,
+    -1.4776530495944726 - 0.31725389254894143j,
+)
+
+
+def test_oracle_matches_dense_reference():
+    rng = np.random.default_rng(31)
+    matrices = benchmark_sized_matrices(rng)
+    assert {(m.n_rows, m.n_cols) for m in matrices} >= {(6, 4), (8, 7), (10, 4), (10, 9)}
+    for m in matrices:
+        x, y, yp = guarded_triple(rng, m.n_rows)
+        ref, ref_sigma = dense_oracle(m, x, y, yp)
+        mo = massey_oracle(m, x, y, yp)
+        assert np.abs(mo.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert abs(gluing_sigma_min(m, x) - ref_sigma) <= 1e-10 * ref_sigma
+        with pytest.raises(PoleError, match=f"sigma_min={ref_sigma:.2e}"):
+            massey_oracle(m, x, y, yp, sv_floor=np.inf)
+
+
+def test_oracle_guard_pinned_near_singular_triple():
+    # a benchmark triple where the gluing system is singular to 6.5e-9 without x^N being near 1
+    assert is_simple(PINNED)[0]
+    x, y, yp = PINNED_TRIPLE
+    assert abs(x ** 10 - 1) > 0.5
+    assert gluing_sigma_min(PINNED, x) == pytest.approx(6.47e-9, rel=1e-2)
+    with pytest.raises(PoleError, match="sigma_min=6.4"):
+        massey_oracle(PINNED, x, y, yp)
+
+
+def test_hom_dim_matches_dense_rank():
+    rng = np.random.default_rng(7)
+    simple = 0
+    for _ in range(40):
+        N, n = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        k = int(rng.choice([k for k in range(1, N + 1) if math.gcd(k, N) == 1]))
+        m = SplittingMatrix(tuple(tuple(r) for r in rng.integers(0, 3, size=(N, n)).tolist()), k)
+        simple += is_simple(m)[0]
+        points = [np.exp(2j * np.pi * t / N) for t in range(N)] + [0.7 - 0.2j, 1.3 + 0.4j]
+        for x in points:
+            assert hom_dim(m, x) == dense_hom_dim(m, x)
+    assert 0 < simple < 40  # both simple and non-simple matrices were drawn
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,28 @@ def test_sampler_exhaustion_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "rejections" in json.loads(err)["error"]
 
 
+def test_declared_size_mismatch_is_usage_error(tmp_path, capsys):
+    doc = json.loads(structure_to_json(enumerate_structures(3)[1]))
+    doc["n"] = 4
+    path = tmp_path / "bd.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--suite", "unitarity", "--structure", str(path))
+    assert code == 2 and out == ""
+    assert "declared size" in json.loads(err)["error"]
+
+
+def test_bundle_bd_cross_check_failure_is_verification_failure(tmp_path, capsys, monkeypatch):
+    from aybe import bundles
+
+    monkeypatch.setattr(bundles, "matrix_tau", lambda m, a, k=1: None)
+    path = tmp_path / "m.json"
+    path.write_text(matrix_from_sequence(3, 2, (1, 1, 2)).to_json())
+    code, out, err = run(capsys, "bundle-bd", "--matrix", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "tau disagrees" in json.loads(err)["error"]
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, "enumerate", "--n", "2", "--bogus")[0] == 2
 

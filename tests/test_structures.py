@@ -1,6 +1,7 @@
 """Combinatorial structures: validation, chains, tau, enumeration, order."""
 
 import itertools
+import json
 
 import pytest
 
@@ -201,6 +202,13 @@ def test_json_round_trip(corpus_n3):
         assert structure_from_json(structure_to_json(bd)) == bd
     obd = enumerate_ordered(3)[5]
     assert structure_from_json(structure_to_json(obd)) == obd
+
+
+def test_json_declared_size_is_checked(corpus_n3):
+    doc = json.loads(structure_to_json(corpus_n3[-1]))
+    doc["n"] += 1
+    with pytest.raises(ValueError, match="declared size"):
+        structure_from_json(json.dumps(doc))
 
 
 def test_enumerate_ordered_excludes_gamma2_edges():
