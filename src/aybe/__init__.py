@@ -53,13 +53,9 @@ from .tensors import (
     Tensor2,
     Tensor3,
     compose2,
-    compose3,
     diag_P0,
     embed,
-    full_trace,
     is_nondegenerate,
-    mu2,
-    partial_trace,
     perm_P,
     project_sl,
     swap_factors,

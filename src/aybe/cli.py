@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -56,8 +57,8 @@ def _tensor_doc(t: Tensor2) -> dict:
 
 
 def _read_source(args, attr: str, what: str) -> str:
-    path = getattr(args, attr, None)
-    if getattr(args, "stdin", False):
+    path = getattr(args, attr)
+    if args.stdin:
         return sys.stdin.read()
     if path is None:
         raise CliError(f"missing --{what} FILE (or --stdin)")
@@ -83,12 +84,16 @@ def _load_matrix(args) -> bundles.SplittingMatrix:
 
 
 def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader stopped reading, which is not an error of this command.
+        # Point stdout at devnull so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _as_ordered(obj) -> OrderedBDStructure:
@@ -125,7 +130,7 @@ _EVAL_KINDS = ("trig", "quantum", "classical", "multiplicative", "rational")
 def _cmd_eval(args) -> int:
     kind = args.kind
     if kind == "rational":
-        r = solutions.rational_R(args.n, args.c)
+        r = solutions.rational_R(args.n, _parse_complex(args.c))
         t = r(_parse_complex(args.u), _parse_complex(args.v))
     else:
         obj = _load_structure(args)
@@ -242,23 +247,13 @@ def _cmd_bundle_bd(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     m = _load_matrix(args)
-    rng = np.random.default_rng(args.seed)
-    devs = []
-    rejects = 0
-    while len(devs) < args.trials:
-        x, y, yp = (
-            complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)
-        )
-        if min(abs(x ** m.n_rows - 1), abs(x), abs(y), abs(yp), abs(y - yp)) < 0.05:
-            rejects += 1
-            if rejects > 10_000:
-                raise CliError("could not find guarded parameter triples")
-            continue
-        devs.append(
-            bundles.massey_closed(m, x, y, yp).max_abs_diff(
-                bundles.massey_oracle(m, x, y, yp)
-            )
-        )
+    plan = verify.SamplePlan(seed=args.seed, count=args.trials)
+    guards = solutions.multiplicative_guards(m.n_rows)
+    triples = plan.draw(3, lambda z: min(g.distance(*z) for g in guards) >= plan.guard_margin)
+    devs = [
+        bundles.massey_closed(m, x, y, yp).max_abs_diff(bundles.massey_oracle(m, x, y, yp))
+        for x, y, yp in triples
+    ]
     worst = float(np.max(devs))  # NaN if any trial is NaN, where max() drops a later one
     doc = {
         "trials": len(devs),
@@ -299,22 +294,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="aybe", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, structure=False, matrix=False):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=_count, default=32)
-        sp.add_argument("--tol", type=float, default=None,
-                        help="residual tolerance (per-suite default when omitted)")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--stdin", action="store_true", help="read JSON input from stdin")
-        if structure:
-            sp.add_argument("--structure", default=None, help="structure JSON file")
-        if matrix:
-            sp.add_argument("--matrix", default=None, help="splitting matrix JSON file")
+    shared = {
+        "out": dict(default=None),
+        "seed": dict(type=int, default=0),
+        "samples": dict(type=_count, default=32),
+        "tol": dict(type=float, default=None,
+                    help="residual tolerance (per-suite default when omitted)"),
+        "format": dict(choices=("json", "text"), default="json"),
+        "stdin": dict(action="store_true", help="read JSON input from stdin"),
+        "structure": dict(default=None, help="structure JSON file"),
+        "matrix": dict(default=None, help="splitting matrix JSON file"),
+    }
+
+    def common(sp, *names):
+        """Attach ``--out`` and the named shared options, only those the subcommand reads."""
+        for name in ("out",) + names:
+            sp.add_argument("--" + name, **shared[name])
 
     sp = sub.add_parser("enumerate", help="list structures for a given set size")
     sp.add_argument("--n", type=int, required=True)
-    common(sp)
+    common(sp, "format")
     sp.set_defaults(fn=_cmd_enumerate)
 
     sp = sub.add_parser("eval", help="evaluate a solution family at a point")
@@ -325,8 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", default="0.8,-0.3")
     sp.add_argument("--yp", default="-1.1,0.6")
     sp.add_argument("--n", type=int, default=2, help="matrix size for the rational family")
-    sp.add_argument("--c", type=complex, default=1.0)
-    common(sp, structure=True)
+    sp.add_argument("--c", default="1", help="constant c of the rational family, RE or RE,IM")
+    common(sp, "stdin", "structure")
     sp.set_defaults(fn=_cmd_eval)
 
     sp = sub.add_parser("verify", help="run residual suites")
@@ -334,26 +333,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u-fixed", dest="u_fixed", default="0.9,0.2")
     sp.add_argument("--n-max", dest="n_max", type=int, default=4,
                     help="largest set size when no structure is given")
-    common(sp, structure=True)
+    common(sp, "seed", "samples", "tol", "format", "stdin", "structure")
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("bundle-check", help="simplicity and order of a splitting matrix")
-    common(sp, matrix=True)
+    common(sp, "stdin", "matrix")
     sp.set_defaults(fn=_cmd_bundle_check)
 
     sp = sub.add_parser("bundle-bd", help="combinatorial structure of a splitting matrix")
-    common(sp, matrix=True)
+    common(sp, "stdin", "matrix")
     sp.set_defaults(fn=_cmd_bundle_bd)
 
     sp = sub.add_parser("oracle-compare", help="closed form vs gluing-system solve")
     sp.add_argument("--trials", type=_count, default=16)
-    common(sp, matrix=True)
+    common(sp, "seed", "tol", "stdin", "matrix")
     sp.set_defaults(fn=_cmd_oracle_compare)
     sp.set_defaults(tol=1e-9)
 
     sp = sub.add_parser("report", help="render a stored report")
     sp.add_argument("--in", dest="infile", default=None)
-    common(sp)
+    common(sp, "format", "stdin")
     sp.set_defaults(fn=_cmd_report)
 
     return p

@@ -21,6 +21,7 @@ rational families, classical limit) are built in the same style.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,6 +43,8 @@ __all__ = [
     "PoleError",
     "Guard",
     "RFun",
+    "SamplePlan",
+    "SamplerExhausted",
     "trigonometric_r",
     "quantum_R",
     "multiplicative_r",
@@ -107,6 +110,46 @@ class RFun:
 
     def __repr__(self) -> str:
         return f"RFun(kind={self.kind!r}, n={self.n}, arity={self.arity})"
+
+
+class SamplerExhausted(RuntimeError):
+    """Rejection sampling failed; the guards are too tight for the rectangle."""
+
+
+@dataclass(frozen=True)
+class SamplePlan:
+    """Deterministic pole-avoiding sampling plan.
+
+    Samples are complex tuples with real and imaginary parts uniform on the
+    rectangle; a candidate is rejected unless every evaluation point of the
+    identity keeps at least ``guard_margin`` distance from every declared
+    pole expression.
+    """
+
+    seed: int = 0
+    count: int = 32
+    rect: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
+    guard_margin: float = 0.05
+    max_rejects: int = 10_000
+
+    def draw(self, nvars: int, ok) -> list[tuple[complex, ...]]:
+        rng = np.random.default_rng(self.seed)
+        lo_re, hi_re, lo_im, hi_im = self.rect
+        points, rejects = [], 0
+        while len(points) < self.count:
+            z = tuple(
+                complex(rng.uniform(lo_re, hi_re), rng.uniform(lo_im, hi_im))
+                for _ in range(nvars)
+            )
+            if ok(z):
+                points.append(z)
+            else:
+                rejects += 1
+                if rejects > self.max_rejects:
+                    raise SamplerExhausted(
+                        f"exceeded {self.max_rejects} rejections; loosen the plan"
+                    )
+        return points
 
 
 def _exp_guard(name, slots, combo):
@@ -344,20 +387,6 @@ def difference_form(obd: OrderedBDStructure) -> RFun:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_guarded_points(r: RFun, count: int, seed: int = 20240517, margin: float = 0.25):
-    rng = np.random.default_rng(seed)
-    pts, rejects = [], 0
-    while len(pts) < count:
-        z = tuple(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(r.arity))
-        if r.pole_distance(*z) > margin:
-            pts.append(z)
-        else:
-            rejects += 1
-            if rejects > 10_000:
-                raise PoleError("could not find guarded sample points")
-    return pts
-
-
 def gauge_transform(r: RFun, lam=0.0, c=1.0, cprime=1.0, a=None, b=None) -> RFun:
     """The equivalence family
 
@@ -377,10 +406,12 @@ def gauge_transform(r: RFun, lam=0.0, c=1.0, cprime=1.0, a=None, b=None) -> RFun
         raise ValueError("rescaling constants must be nonzero")
     a = np.zeros((n, n), dtype=complex) if a is None else as_matrix(a, n)
     b = np.zeros((n, n), dtype=complex) if b is None else as_matrix(b, n)
+    plan = SamplePlan(seed=20240517, count=3, rect=(-1.5, 1.5, -1.5, 1.5), guard_margin=0.25)
+    pts = plan.draw(r.arity, lambda z: r.pole_distance(*z) > plan.guard_margin)
     for name, m in (("a", a), ("b", b)):
         if np.abs(m - np.diag(np.diag(m))).max() > 1e-12:
             raise ValueError(f"gauge symmetry {name} must be diagonal")
-        for pt in _fixed_guarded_points(r, 3):
+        for pt in pts:
             res = sym_commutator(r(*pt), m).max_abs()
             if res > 1e-8 * (1.0 + r(*pt).max_abs()):
                 raise ValueError(f"gauge matrix {name} is not an infinitesimal symmetry")

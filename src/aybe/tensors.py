@@ -26,12 +26,8 @@ __all__ = [
     "embed",
     "rmul_embed",
     "compose2",
-    "compose3",
     "swap_factors",
     "project_sl",
-    "mu2",
-    "partial_trace",
-    "full_trace",
     "is_nondegenerate",
     "sym_commutator",
     "as_matrix",
@@ -75,13 +71,6 @@ class Tensor2:
         if op.shape != (n * n, n * n):
             raise ValueError("operator flattening has wrong shape")
         return cls(n, op.reshape(n, n, n, n).transpose(0, 2, 1, 3))
-
-    @classmethod
-    def from_pairing_matrix(cls, n: int, pm) -> "Tensor2":
-        pm = np.asarray(pm, dtype=complex)
-        if pm.shape != (n * n, n * n):
-            raise ValueError("pairing flattening has wrong shape")
-        return cls(n, pm.reshape(n, n, n, n))
 
     def op_matrix(self) -> np.ndarray:
         """Operator on C^N (x) C^N; row (p, r), column (q, s)."""
@@ -135,17 +124,6 @@ class Tensor3:
         self.n = n
         self.coeffs = c
 
-    @classmethod
-    def zero(cls, n: int) -> "Tensor3":
-        return cls(n, np.zeros((n,) * 6, dtype=complex))
-
-    @classmethod
-    def from_op_matrix(cls, n: int, op) -> "Tensor3":
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (n ** 3, n ** 3):
-            raise ValueError("operator flattening has wrong shape")
-        return cls(n, op.reshape((n,) * 6).transpose(0, 3, 1, 4, 2, 5))
-
     def op_matrix(self) -> np.ndarray:
         """Operator on (C^N)^(x)3; row (p, r, t), column (q, s, u)."""
         n = self.n
@@ -153,20 +131,6 @@ class Tensor3:
 
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max())
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(self.n, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(self.n, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3(self.n, -self.coeffs)
-
-    def __mul__(self, scalar) -> "Tensor3":
-        return Tensor3(self.n, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Tensor3(n={self.n}, max_abs={self.max_abs():.3g})"
@@ -205,13 +169,6 @@ def compose2(s: Tensor2, t: Tensor2) -> Tensor2:
     """Product in A (x) A: op_matrix(result) = op_matrix(s) . op_matrix(t)."""
     s._check(t)
     return Tensor2(s.n, np.einsum("parb,aqbs->pqrs", s.coeffs, t.coeffs))
-
-
-def compose3(s: Tensor3, t: Tensor3) -> Tensor3:
-    """Product in A (x) A (x) A."""
-    if not isinstance(t, Tensor3) or t.n != s.n:
-        raise ValueError("tensor size mismatch")
-    return Tensor3.from_op_matrix(s.n, s.op_matrix() @ t.op_matrix())
 
 
 def swap_factors(t: Tensor2) -> Tensor2:
@@ -278,25 +235,6 @@ def project_sl(t: Tensor2, slots=(1, 2)) -> Tensor2:
         tr2 = np.einsum("pqaa->pq", c) / n
         c = c - np.einsum("pq,rs->pqrs", tr2, eye)
     return Tensor2(n, c)
-
-
-def mu2(t: Tensor2) -> np.ndarray:
-    """Multiply the two factors together: mu(x (x) y) = xy, extended linearly."""
-    return np.einsum("paas->ps", t.coeffs)
-
-
-def partial_trace(t: Tensor2, slot: int) -> np.ndarray:
-    """Contract one factor with the trace (slot 1: tr (x) id, slot 2: id (x) tr)."""
-    if slot == 1:
-        return np.einsum("aars->rs", t.coeffs)
-    if slot == 2:
-        return np.einsum("pqaa->pq", t.coeffs)
-    raise ValueError("slot must be 1 or 2")
-
-
-def full_trace(t: Tensor2) -> complex:
-    """tr (x) tr."""
-    return complex(np.einsum("aabb->", t.coeffs))
 
 
 def is_nondegenerate(t: Tensor2, cond_cap: float = 1e12) -> tuple[bool, float]:

@@ -1,4 +1,4 @@
-"""Residual suites: seeded pole-avoiding sample plans and structured reports.
+"""Residual suites over seeded pole-avoiding sample plans, with structured reports.
 
 Each suite draws a deterministic sequence of complex sample tuples,
 rejecting any tuple for which some evaluation point of the identity comes
@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solutions import RFun, abc_parts, laurent_r0, laurent_r1, s_product
+from .solutions import (
+    RFun,
+    SamplePlan,
+    SamplerExhausted,
+    abc_parts,
+    laurent_r0,
+    laurent_r1,
+    s_product,
+)
 from .structures import OrderedBDStructure
 from .tensors import Tensor2, compose2, embed, rmul_embed, swap_factors, sym_commutator, unit2
 
@@ -47,46 +55,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 EXTRACTION_TOL = 1e-5
-
-
-class SamplerExhausted(RuntimeError):
-    """Rejection sampling failed; the guards are too tight for the rectangle."""
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    """Deterministic pole-avoiding sampling plan.
-
-    Samples are complex tuples with real and imaginary parts uniform on the
-    rectangle; a candidate is rejected unless every evaluation point of the
-    identity keeps at least ``guard_margin`` distance from every declared
-    pole expression.
-    """
-
-    seed: int = 0
-    count: int = 32
-    rect: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
-    guard_margin: float = 0.05
-    max_rejects: int = 10_000
-
-    def draw(self, nvars: int, ok) -> list[tuple[complex, ...]]:
-        rng = np.random.default_rng(self.seed)
-        lo_re, hi_re, lo_im, hi_im = self.rect
-        points, rejects = [], 0
-        while len(points) < self.count:
-            z = tuple(
-                complex(rng.uniform(lo_re, hi_re), rng.uniform(lo_im, hi_im))
-                for _ in range(nvars)
-            )
-            if ok(z):
-                points.append(z)
-            else:
-                rejects += 1
-                if rejects > self.max_rejects:
-                    raise SamplerExhausted(
-                        f"exceeded {self.max_rejects} rejections; loosen the plan"
-                    )
-        return points
 
 
 @dataclass(frozen=True)
@@ -165,67 +133,45 @@ def residual_aybe(r: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT_
     functions in the u-only degeneration of the same equation.
     """
     plan = plan or SamplePlan()
-    if r.arity == 2:
+    if r.arity not in (1, 2):
+        raise ValueError("aybe residual supports one- and two-variable functions")
 
-        def pts(u, up, v, vp):
-            return [(-up, v), (u + up, v + vp), (u + up, vp), (u, v), (u, v + vp), (up, vp)]
+    def args(u, up, v=0.0, vp=0.0):
+        """Arguments of r12, r13, r23, r12, r13, r23 in the equation; the u-only
+        degeneration keeps the u entry of each."""
+        pairs = ((-up, v), (u + up, v + vp), (u + up, vp), (u, v), (u, v + vp), (up, vp))
+        return [p[: r.arity] for p in pairs]
 
-        def res(u, up, v, vp):
-            t = (
-                _prod((r(-up, v), (1, 2)), (r(u + up, v + vp), (1, 3)))
-                - _prod((r(u + up, vp), (2, 3)), (r(u, v), (1, 2)))
-                + _prod((r(u, v + vp), (1, 3)), (r(up, vp), (2, 3)))
-            )
-            return _max_abs(t)
-
-        return _run(
-            "aybe", plan, tol, 4,
-            lambda z: _guard_all(r, pts(*z), plan.guard_margin),
-            res,
+    def res(*z):
+        a12, a13, a23, b12, b13, b23 = args(*z)
+        t = (
+            _prod((r(*a12), (1, 2)), (r(*a13), (1, 3)))
+            - _prod((r(*a23), (2, 3)), (r(*b12), (1, 2)))
+            + _prod((r(*b13), (1, 3)), (r(*b23), (2, 3)))
         )
+        return _max_abs(t)
 
-    if r.arity == 1:
-
-        def pts1(u, up):
-            return [(-up,), (u + up,), (u,), (up,)]
-
-        def res1(u, up):
-            t = (
-                _prod((r(-up), (1, 2)), (r(u + up), (1, 3)))
-                - _prod((r(u + up), (2, 3)), (r(u), (1, 2)))
-                + _prod((r(u), (1, 3)), (r(up), (2, 3)))
-            )
-            return _max_abs(t)
-
-        return _run(
-            "aybe", plan, tol, 2,
-            lambda z: _guard_all(r, pts1(*z), plan.guard_margin),
-            res1,
-        )
-
-    raise ValueError("aybe residual supports one- and two-variable functions")
+    return _run(
+        "aybe", plan, tol, 2 * r.arity,
+        lambda z: _guard_all(r, args(*z), plan.guard_margin),
+        res,
+    )
 
 
 def residual_unitarity(r: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT_TOL) -> Report:
     """Unitarity residual r^21 at the negated arguments plus r itself."""
     plan = plan or SamplePlan()
-    if r.arity == 2:
+    if r.arity not in (1, 2):
+        raise ValueError("unitarity residual supports one- and two-variable functions")
 
-        def res(u, v):
-            return (swap_factors(r(-u, -v)) + r(u, v)).max_abs()
+    def neg(z):
+        return tuple(-w for w in z)
 
-        ok = lambda z: _guard_all(r, [z, (-z[0], -z[1])], plan.guard_margin)
-        return _run("unitarity", plan, tol, 2, ok, res)
+    def res(*z):
+        return (swap_factors(r(*neg(z))) + r(*z)).max_abs()
 
-    if r.arity == 1:
-
-        def res1(u):
-            return (swap_factors(r(-u)) + r(u)).max_abs()
-
-        ok1 = lambda z: _guard_all(r, [z, (-z[0],)], plan.guard_margin)
-        return _run("unitarity", plan, tol, 1, ok1, res1)
-
-    raise ValueError("unitarity residual supports one- and two-variable functions")
+    ok = lambda z: _guard_all(r, [z, neg(z)], plan.guard_margin)
+    return _run("unitarity", plan, tol, r.arity, ok, res)
 
 
 # ---------------------------------------------------------------------------

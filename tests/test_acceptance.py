@@ -5,6 +5,7 @@ the lines show up in a plain ``pytest -v`` run; tolerances are fixed here
 and nowhere else.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -25,9 +26,11 @@ from aybe.bundles import (
     tau_free_matrix,
 )
 from aybe.solutions import (
+    abc_parts,
     classical_r0,
     difference_form,
     laurent_r0,
+    multiplicative_guards,
     multiplicative_r,
     nilpotent_r,
     orbit_symmetry,
@@ -46,6 +49,7 @@ from aybe.structures import (
 from aybe.tensors import Tensor2, compose2, perm_P, project_sl, swap_factors, unit2
 from aybe.verify import (
     SamplePlan,
+    _worst,
     perturb,
     residual_abc,
     residual_aybe,
@@ -117,27 +121,40 @@ def matrix_corpus():
 
 
 def guarded_triples(m, count, seed=777, margin=0.15):
-    rng = np.random.default_rng(seed)
-    n = m.n_rows
-    triples = []
-    while len(triples) < count:
-        x, y, yp = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
-        if min(abs(x ** n - 1), abs(x), abs(y), abs(yp), abs(y - yp)) > margin:
-            triples.append((x, y, yp))
-    return triples
+    guards = multiplicative_guards(m.n_rows)
+    return SamplePlan(seed=seed, count=count).draw(
+        3, lambda z: min(g.distance(*z) for g in guards) > margin
+    )
+
+
+def worst_aybe_unitarity(families, plan):
+    """Largest AYBE or unitarity residual over ``families``.
+
+    The criteria aggregate with ``_worst``, a NaN-propagating max: Python's
+    running ``max(worst, x)`` keeps ``worst`` when ``x`` is NaN, so a NaN
+    report would print PASS.
+    """
+    return _worst(*(
+        suite(r, plan, tol=1e-8).max_residual
+        for r in families
+        for suite in (residual_aybe, residual_unitarity)
+    ))
 
 
 # ---------------------------------------------------------------------------
 
 
+def test_aggregation_keeps_a_nan_report():
+    plan = SamplePlan(seed=101, count=4)
+    good = trigonometric_r(enumerate_structures(2)[1])
+    worst = worst_aybe_unitarity([good, perturb(good, delta=np.nan), good], plan)
+    assert np.isnan(worst) and not worst <= 1e-8
+
+
 def test_c01_aybe_and_unitarity(announce):
     t0 = time.monotonic()
     plan = SamplePlan(seed=101, count=32)
-    worst = 0.0
-    for bd in corpus_structures():
-        r = trigonometric_r(bd)
-        worst = max(worst, residual_aybe(r, plan, tol=1e-8).max_residual)
-        worst = max(worst, residual_unitarity(r, plan, tol=1e-8).max_residual)
+    worst = worst_aybe_unitarity(map(trigonometric_r, corpus_structures()), plan)
     elapsed = time.monotonic() - t0
     announce(
         1, "AYBE + unitarity", worst <= 1e-8 and elapsed < 120.0,
@@ -147,30 +164,30 @@ def test_c01_aybe_and_unitarity(announce):
 
 def test_c02_qybe(announce):
     plan = SamplePlan(seed=102, count=32)
-    worst = 0.0
+    residuals = []
     for bd in corpus_structures():
         R = quantum_R(bd)
-        worst = max(worst, residual_qybe(R, U_FIXED, plan, tol=1e-8).max_residual)
-        worst = max(worst, residual_qybe_unitarity(R, plan, tol=1e-8).max_residual)
+        residuals.append(residual_qybe(R, U_FIXED, plan, tol=1e-8).max_residual)
+        residuals.append(residual_qybe_unitarity(R, plan, tol=1e-8).max_residual)
+    worst = _worst(*residuals)
     announce(2, "QYBE + quantum unitarity", worst <= 1e-8, f"(max residual {worst:.2e})")
 
 
 def test_c03_s_identity(announce):
     plan = SamplePlan(seed=103, count=32)
-    worst = 0.0
-    for bd in corpus_structures():
-        worst = max(
-            worst, residual_s_identity(trigonometric_r(bd), plan, tol=1e-8).max_residual
-        )
+    worst = _worst(*(
+        residual_s_identity(trigonometric_r(bd), plan, tol=1e-8).max_residual
+        for bd in corpus_structures()
+    ))
     e12 = np.zeros((2, 2))
     e12[0, 1] = 1.0
     omega = Tensor2(2, np.einsum("pq,rs->pqrs", e12, e12))
-    worst_nil = 0.0
-    for om, order in ((omega, 1), (Tensor2.zero(2), 1), (Tensor2.zero(3), 2)):
-        rep = residual_s_identity(
+    worst_nil = _worst(*(
+        residual_s_identity(
             nilpotent_r(om, order), plan, tol=1e-10, scalar=lambda u, v: 1.0 / v ** 2
-        )
-        worst_nil = max(worst_nil, rep.max_residual)
+        ).max_residual
+        for om, order in ((omega, 1), (Tensor2.zero(2), 1), (Tensor2.zero(3), 2))
+    ))
     announce(
         3, "s-product identities", worst <= 1e-8 and worst_nil <= 1e-10,
         f"(trig {worst:.2e}, nilpotent {worst_nil:.2e})",
@@ -179,13 +196,12 @@ def test_c03_s_identity(announce):
 
 def test_c04_multiplicative_form(announce):
     plan = SamplePlan(seed=104, count=32)
-    worst = 0.0
-    for obd in corpus_ordered():
-        worst = max(
-            worst, residual_aybe2(multiplicative_r(obd), plan, tol=1e-8).max_residual
-        )
+    worst = _worst(*(
+        residual_aybe2(multiplicative_r(obd), plan, tol=1e-8).max_residual
+        for obd in corpus_ordered()
+    ))
     rng = np.random.default_rng(104)
-    worst_diff = 0.0
+    diffs = []
     for obd in corpus_ordered():
         df = difference_form(obd)
         ti = trigonometric_r(obd.bd.inverse())
@@ -197,7 +213,8 @@ def test_c04_multiplicative_form(announce):
             done += 1
             lhs = df(*pt)
             rhs = -1 * ti(pt[0] - pt[1], pt[2] - pt[3])
-            worst_diff = max(worst_diff, (lhs - rhs).max_abs())
+            diffs.append((lhs - rhs).max_abs())
+    worst_diff = _worst(*diffs)
     announce(
         4, "multiplicative form", worst <= 1e-8 and worst_diff <= 1e-10,
         f"(three-variable {worst:.2e}, difference gauge {worst_diff:.2e})",
@@ -207,19 +224,17 @@ def test_c04_multiplicative_form(announce):
 def test_c05_oracle_equivalence(announce):
     corpus = matrix_corpus()
     assert len(corpus) >= 20
-    worst = 0.0
-    for m in corpus:
-        for (x, y, yp) in guarded_triples(m, 16):
-            worst = max(
-                worst, massey_closed(m, x, y, yp).max_abs_diff(massey_oracle(m, x, y, yp))
-            )
-    worst_tensor = 0.0
+    worst = _worst(*(
+        massey_closed(m, x, y, yp).max_abs_diff(massey_oracle(m, x, y, yp))
+        for m in corpus
+        for (x, y, yp) in guarded_triples(m, 16)
+    ))
+    tensor_devs = []
     for m in corpus:
         rm = multiplicative_r(bd_from_matrix(m))
         for (x, y, yp) in guarded_triples(m, 4, seed=555):
-            worst_tensor = max(
-                worst_tensor, (massey_tensor(m, x, y, yp) - rm(x, y, yp)).max_abs()
-            )
+            tensor_devs.append((massey_tensor(m, x, y, yp) - rm(x, y, yp)).max_abs())
+    worst_tensor = _worst(*tensor_devs)
     announce(
         5, "gluing oracle vs closed form", worst <= 1e-9 and worst_tensor <= 1e-10,
         f"({len(corpus)} matrices, map {worst:.2e}, tensor {worst_tensor:.2e})",
@@ -269,7 +284,6 @@ def test_c06_geometry_round_trip(announce):
 
 def test_c07_u_only_and_rational(announce):
     plan = SamplePlan(seed=107, count=32)
-    worst = 0.0
     cases = []
     for n in (2, 3):
         zero = np.zeros((n, n))
@@ -277,16 +291,13 @@ def test_c07_u_only_and_rational(announce):
         e12 = np.zeros((n, n))
         e12[0, 1] = 1.0
         cases += [(n, zero), (n, diag), (n, e12)]
-    for n, a in cases:
-        r = u_only_r(a, c=1.0)
-        worst = max(worst, residual_aybe(r, plan, tol=1e-8).max_residual)
-        worst = max(worst, residual_unitarity(r, plan, tol=1e-8).max_residual)
+    worst = worst_aybe_unitarity((u_only_r(a, c=1.0) for n, a in cases), plan)
     # diagonal closed form against the linear-solve output
     a = np.diag([0.4, -0.1, -0.3])
     c = 1.3 - 0.2j
     r = u_only_r(a, c)
     rng = np.random.default_rng(107)
-    worst_diag = 0.0
+    diag_devs = []
     for _ in range(8):
         u = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         if r.pole_distance(u) < 0.1:
@@ -295,9 +306,10 @@ def test_c07_u_only_and_rational(announce):
         for i in range(3):
             for j in range(3):
                 expected[i, j, j, i] = 1.0 / (c * u + a[i, i] - a[j, j])
-        worst_diag = max(worst_diag, (r(u) - Tensor2(3, expected)).max_abs())
+        diag_devs.append((r(u) - Tensor2(3, expected)).max_abs())
+    worst_diag = _worst(*diag_devs)
     R = rational_R(3, 1.0)
-    worst_rat = max(
+    worst_rat = _worst(
         residual_qybe(R, U_FIXED, plan, tol=1e-8).max_residual,
         residual_qybe_unitarity(R, plan, tol=1e-8).max_residual,
     )
@@ -312,13 +324,12 @@ def test_c07_u_only_and_rational(announce):
 
 def test_c08_classical_limit(announce):
     plan = SamplePlan(seed=108, count=32)
-    worst_cybe = 0.0
-    for bd in corpus_structures():
-        worst_cybe = max(
-            worst_cybe, residual_cybe(classical_r0(bd), plan, tol=1e-8).max_residual
-        )
+    worst_cybe = _worst(*(
+        residual_cybe(classical_r0(bd), plan, tol=1e-8).max_residual
+        for bd in corpus_structures()
+    ))
     rng = np.random.default_rng(108)
-    worst_match = 0.0
+    matches = []
     ratios = []
     for bd in enumerate_structures(3):
         r = trigonometric_r(bd)
@@ -331,9 +342,10 @@ def test_c08_classical_limit(announce):
                 continue
             e1 = (project_sl(fine(v), {1, 2}) - closed(v)).max_abs()
             e2 = (project_sl(finer(v), {1, 2}) - closed(v)).max_abs()
-            worst_match = max(worst_match, e1)
+            matches.append(e1)
             if e2 > 1e-13:  # ratio is meaningful only above roundoff
                 ratios.append(e1 / e2)
+    worst_match = _worst(*matches)
     ratio = float(np.median(ratios))
     announce(
         8, "classical limit",
@@ -384,18 +396,15 @@ def split_partition_holds(obd):
 
 def test_c09_auxiliary_identities(announce):
     plan = SamplePlan(seed=109, count=16)
-    worst_cubic = 0.0
-    for bd in enumerate_structures(3):
-        worst_cubic = max(
-            worst_cubic, residual_cubic(trigonometric_r(bd), plan, tol=1e-8).max_residual
-        )
-    worst_laurent = 0.0
-    for bd in enumerate_structures(3)[:6]:
-        worst_laurent = max(
-            worst_laurent,
-            residual_laurent_identity(trigonometric_r(bd), plan, tol=1e-5).max_residual,
-        )
-    worst_h = max(
+    worst_cubic = _worst(*(
+        residual_cubic(trigonometric_r(bd), plan, tol=1e-8).max_residual
+        for bd in enumerate_structures(3)
+    ))
+    worst_laurent = _worst(*(
+        residual_laurent_identity(trigonometric_r(bd), plan, tol=1e-5).max_residual
+        for bd in enumerate_structures(3)[:6]
+    ))
+    worst_h = _worst(
         residual_h_equation("inverse_v", plan, tol=1e-10).max_residual,
         residual_h_equation("half_coth", plan, tol=1e-10).max_residual,
     )
@@ -405,7 +414,7 @@ def test_c09_auxiliary_identities(announce):
             combinatorics_ok &= signed_triples_consistent(obd)
             combinatorics_ok &= split_partition_holds(obd)
     rng = np.random.default_rng(109)
-    worst_period = 0.0
+    periods = []
     for bd in corpus_structures():
         n = bd.n
         r = trigonometric_r(bd)
@@ -426,13 +435,10 @@ def test_c09_auxiliary_identities(announce):
                 continue
             lhs = r(u, v + 2j * np.pi)
             rhs = compose2(left, compose2(r(u, v), right))
-            worst_period = max(worst_period, (lhs - rhs).max_abs())
-            worst_period = max(
-                worst_period, (r(u + 2j * np.pi * n, v) - r(u, v)).max_abs()
-            )
-            worst_period = max(
-                worst_period, (r(u, v + 2j * np.pi * n) - r(u, v)).max_abs()
-            )
+            periods.append((lhs - rhs).max_abs())
+            periods.append((r(u + 2j * np.pi * n, v) - r(u, v)).max_abs())
+            periods.append((r(u, v + 2j * np.pi * n) - r(u, v)).max_abs())
+    worst_period = _worst(*periods)
     announce(
         9, "auxiliary identities",
         worst_cubic <= 1e-8 and worst_laurent <= 1e-5 and worst_h <= 1e-10
@@ -442,10 +448,8 @@ def test_c09_auxiliary_identities(announce):
     )
 
 
-def _corrupted_parts(obd, x):
-    from aybe.solutions import abc_parts
-
-    return tuple(t + 0.1 * unit2(obd.n) for t in abc_parts(obd, x))
+def _corrupted_parts(obd, x, delta=0.1):
+    return tuple(t + delta * unit2(obd.n) for t in abc_parts(obd, x))
 
 
 def test_c10_harness_integrity(announce):
@@ -470,9 +474,34 @@ def test_c10_harness_integrity(announce):
         "symmetry": residual_symmetry(r, np.diag([1.0, 0.0, 0.0]), plan),
         "laurent-identity": residual_laurent_identity(perturb(r, delta=1.0), plan),
     }
+    # NaN and inf values must fail every suite too, not slip through a max or a
+    # comparison; inf - inf and inf * 0 are NaN by design here, so numpy stays quiet
+    with np.errstate(invalid="ignore"):
+        for value in (np.nan, np.inf):
+            hit = functools.partial(perturb, delta=value)
+            nonfinite = {
+                "aybe": residual_aybe(hit(r), plan),
+                "unitarity": residual_unitarity(hit(r), plan),
+                "qybe": residual_qybe(hit(quantum_R(bd)), U_FIXED, plan),
+                "qybe-unitarity": residual_qybe_unitarity(hit(quantum_R(bd)), plan),
+                "cybe": residual_cybe(hit(classical_r0(bd)), plan),
+                "aybe2": residual_aybe2(hit(multiplicative_r(obd)), plan),
+                "s-identity": residual_s_identity(hit(r), plan),
+                "cubic": residual_cubic(hit(r), plan),
+                "abc": residual_abc(
+                    obd, plan, parts=functools.partial(_corrupted_parts, delta=value)
+                ),
+                "h-equation": residual_h_equation(
+                    "inverse_v", plan, h=lambda v: 1 / v + value, h_prime=lambda v: -1 / v ** 2,
+                ),
+                # the identity commutes with everything, so only the bad value can fail it
+                "symmetry": residual_symmetry(hit(r), np.eye(3), plan),
+                "laurent-identity": residual_laurent_identity(hit(r), plan),
+            }
+            failures.update((f"{name}[{value}]", rep) for name, rep in nonfinite.items())
     bad = [name for name, rep in failures.items() if rep.passed]
     announce(
         10, "harness integrity", not bad,
-        f"({len(failures)} suites all detect perturbations)" if not bad
-        else f"(suites missing corruption: {bad})",
+        f"({len(failures)} mutations across 12 suites, NaN and inf included, all detected)"
+        if not bad else f"(suites missing corruption: {bad})",
     )

@@ -2,11 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import aybe
 from aybe.bundles import matrix_from_sequence, tau_free_matrix
 from aybe.cli import main
+from aybe.solutions import rational_R
 from aybe.structures import enumerate_structures, structure_to_json
 
 
@@ -138,6 +144,40 @@ def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, "enumerate", "--n", "2", "--bogus")[0] == 2
 
 
+# options each subcommand used to accept without ever reading them
+_UNREAD = {
+    "enumerate": ("--seed", "--samples", "--tol", "--stdin"),
+    "eval": ("--seed", "--samples", "--tol", "--format"),
+    "bundle-check": ("--seed", "--samples", "--tol", "--format"),
+    "bundle-bd": ("--seed", "--samples", "--tol", "--format"),
+    "oracle-compare": ("--samples", "--format"),
+    "report": ("--seed", "--samples", "--tol"),
+}
+_VALUES = {"--seed": "0", "--samples": "4", "--tol": "1e-8", "--format": "text"}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in _UNREAD.items() for f in flags]
+)
+def test_unread_options_are_usage_errors(tmp_path, capsys, command, flag):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(tau_free_matrix(2, 3).to_json())
+    rpath = tmp_path / "r.json"
+    rpath.write_text(json.dumps({"suite": "aybe", "pass": True}))
+    base = {
+        "enumerate": ("--n", "2"),
+        "eval": ("--kind", "rational"),
+        "bundle-check": ("--matrix", str(mpath)),
+        "bundle-bd": ("--matrix", str(mpath)),
+        "oracle-compare": ("--matrix", str(mpath), "--trials", "1"),
+        "report": ("--in", str(rpath)),
+    }[command]
+    assert run(capsys, command, *base)[0] == 0
+    value = (_VALUES[flag],) if flag in _VALUES else ()
+    code, out, _ = run(capsys, command, *base, flag, *value)
+    assert code == 2 and out == ""
+
+
 def test_unknown_suite_is_usage_error(tmp_path, capsys):
     bd = enumerate_structures(2)[0]
     path = tmp_path / "bd.json"
@@ -164,6 +204,36 @@ def test_eval_trig(tmp_path, capsys):
 def test_eval_rational(capsys):
     code, out, _ = run(capsys, "eval", "--kind", "rational", "--n", "3", "--u", "0.5", "--v", "1.5")
     assert code == 0 and json.loads(out)["n"] == 3
+
+
+def test_eval_c_takes_re_im(capsys):
+    code, out, _ = run(
+        capsys, "eval", "--kind", "rational", "--n", "2", "--c", "0,1", "--u", "0.5", "--v", "1.5",
+    )
+    assert code == 0
+    pairs = np.array(json.loads(out)["coeffs"])
+    expected = rational_R(2, 1j)(0.5, 1.5).coeffs
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], expected)
+
+
+def test_eval_malformed_c_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--kind", "rational", "--c", "1+2j")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "RE,IM" in json.loads(err)["error"]
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early (``aybe eval ... | head -c 10``) is not a failure."""
+    src = os.path.dirname(os.path.dirname(aybe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aybe", "eval", "--kind", "rational", "--n", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()  # the output is far larger than a pipe buffer, so the write fails
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
 
 
 def test_eval_at_pole_is_error(tmp_path, capsys):

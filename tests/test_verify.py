@@ -92,6 +92,13 @@ def test_sampler_exhaustion():
         residual_aybe(trigonometric_r(bd), plan)
 
 
+@pytest.mark.parametrize("suite", [residual_aybe, residual_unitarity])
+def test_aybe_and_unitarity_reject_three_variable_functions(suite):
+    r3 = RFun(2, "three-variable", 3, lambda x, y, yp: Tensor2.zero(2), ())
+    with pytest.raises(ValueError, match="one- and two-variable"):
+        suite(r3, SamplePlan(count=1))
+
+
 def test_aybe_suite_passes_and_detects_corruption(bd3):
     r = trigonometric_r(bd3)
     plan = SamplePlan(seed=3, count=8)
