@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .solutions import PoleError, RFun, multiplicative_guards
-from .structures import BDStructure, CyclicPermutation, OrderedBDStructure
+from .structures import BDStructure, CyclicPermutation, OrderedBDStructure, as_int
 from .tensors import Tensor2
 
 __all__ = [
@@ -59,14 +59,22 @@ class CrossCheckFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class SplittingMatrix:
-    """N x n integer degree matrix with a row-shift extension rule."""
+    """N x n integer degree matrix with a row-shift extension rule.
+
+    ``period`` is the period table: row i's extended entries at columns
+    0 .. n*N - 1, where the extension repeats.  The simplicity test, the
+    complete order and the pair bijection all read it, so the extension
+    rule in ``entry`` is applied once per matrix.
+    """
 
     rows: tuple[tuple[int, ...], ...]
     shift: int = 1
+    period: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(as_int(v) for v in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "shift", as_int(self.shift))
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         if any(len(row) != len(rows[0]) for row in rows):
@@ -74,6 +82,9 @@ class SplittingMatrix:
         n_rows = len(rows)
         if not (1 <= self.shift <= n_rows and math.gcd(self.shift, n_rows) == 1):
             raise ValueError("row shift must lie in [1, N] and be coprime to N")
+        columns = range(n_rows * self.n_cols)
+        period = tuple(tuple(self.entry(i, j) for j in columns) for i in range(1, n_rows + 1))
+        object.__setattr__(self, "period", period)
 
     @property
     def n_rows(self) -> int:
@@ -106,7 +117,7 @@ class SplittingMatrix:
     def from_json(cls, text: str) -> "SplittingMatrix":
         doc = json.loads(text)
         m = cls(tuple(tuple(r) for r in doc["m"]), doc.get("k", 1))
-        if m.n_rows != doc["N"] or m.n_cols != doc["n"]:
+        if m.n_rows != as_int(doc["N"]) or m.n_cols != as_int(doc["n"]):
             raise ValueError("declared dimensions disagree with the entries")
         return m
 
@@ -129,12 +140,9 @@ def is_simple(m: SplittingMatrix):
             for j in range(n):
                 if abs(m.rows[i - 1][j] - m.rows[ip - 1][j]) > 1:
                     return False, ("difference out of range", i, ip, j)
-    period = n * N
     for i in range(1, N + 1):
         for ip in range(i + 1, N + 1):
-            signs = [
-                d for j in range(period) if (d := m.entry(i, j) - m.entry(ip, j)) != 0
-            ]
+            signs = [d for a, b in zip(m.period[i - 1], m.period[ip - 1]) if (d := a - b) != 0]
             if not signs:
                 return False, ("identically zero", i, ip)
             for a, b in zip(signs, signs[1:] + signs[:1]):
@@ -151,49 +159,36 @@ def _require_simple(m: SplittingMatrix) -> None:
 
 def precedes(m: SplittingMatrix, i: int, ip: int) -> bool:
     """The complete order: i before ip iff the first nonzero difference
-    m^j_i - m^j_ip along j = 0, 1, ... is negative."""
+    m^j_i - m^j_ip along j = 0, 1, ... is negative, which is the tuple
+    order of their period rows."""
     if i == ip:
         return False
-    for j in range(m.n_cols * m.n_rows):
-        d = m.entry(i, j) - m.entry(ip, j)
-        if d:
-            return d < 0
-    raise ValueError(f"rows {i} and {ip} have identical extended columns")
+    a, b = m.period[i - 1], m.period[ip - 1]
+    if a == b:
+        raise ValueError(f"rows {i} and {ip} have identical extended columns")
+    return a < b
 
 
 def star_order(m: SplittingMatrix) -> tuple[int, ...]:
     """Row labels sorted by the complete order, smallest first."""
     _require_simple(m)
-    order = [1]
-    for i in range(2, m.n_rows + 1):
-        lo = 0
-        while lo < len(order) and precedes(m, order[lo], i):
-            lo += 1
-        order.insert(lo, i)
-    return tuple(order)
+    return tuple(sorted(range(1, m.n_rows + 1), key=lambda i: m.period[i - 1]))
 
 
 def _tau_step(m: SplittingMatrix, alpha):
-    """One application of the pair bijection, or None."""
+    """One application of the pair bijection, or None: the rows of alpha
+    agree on every interior column and the pair shifted by -k is ordered."""
     i, ip = alpha
-    if i == ip:
-        return None
-    if any(m.entry(i, j) != m.entry(ip, j) for j in range(1, m.n_cols)):
+    if i == ip or m.rows[i - 1][1:] != m.rows[ip - 1][1:]:
         return None
     ci, cip = m.wrap(i - m.shift), m.wrap(ip - m.shift)
-    if not precedes(m, ci, cip):
-        return None
-    return (ci, cip)
+    return (ci, cip) if precedes(m, ci, cip) else None
 
 
 def _tau_step_inv(m: SplittingMatrix, beta):
-    i, ip = beta
-    if i == ip or not precedes(m, i, ip):
-        return None
-    si, sip = m.wrap(i + m.shift), m.wrap(ip + m.shift)
-    if any(m.entry(si, j) != m.entry(sip, j) for j in range(1, m.n_cols)):
-        return None
-    return (si, sip)
+    """The pair that ``_tau_step`` maps to beta, or None."""
+    alpha = (m.wrap(beta[0] + m.shift), m.wrap(beta[1] + m.shift))
+    return alpha if _tau_step(m, alpha) == beta else None
 
 
 def matrix_tau(m: SplittingMatrix, alpha, k: int = 1):
@@ -207,6 +202,14 @@ def matrix_tau(m: SplittingMatrix, alpha, k: int = 1):
     return beta
 
 
+def _chain(m: SplittingMatrix, alpha, step: int = 1):
+    """Yield (k, matrix_tau(m, alpha, step * k)) for k = 1, 2, ... while it is defined."""
+    k, beta = 1, matrix_tau(m, alpha, step)
+    while beta is not None:
+        yield k, beta
+        k, beta = k + 1, matrix_tau(m, beta, step)
+
+
 def bd_from_matrix(m: SplittingMatrix) -> OrderedBDStructure:
     """The combinatorial structure carried by a simple splitting matrix.
 
@@ -216,7 +219,6 @@ def bd_from_matrix(m: SplittingMatrix) -> OrderedBDStructure:
     result is validated and cross-checked against the matrix-level pair
     bijection.
     """
-    _require_simple(m)
     N = m.n_rows
     order = star_order(m)
     c0_images = [0] * N
@@ -228,9 +230,7 @@ def bd_from_matrix(m: SplittingMatrix) -> OrderedBDStructure:
         (i, ip)
         for i in range(1, N + 1)
         for ip in range(1, N + 1)
-        if i != ip
-        and all(m.entry(i, j) == m.entry(ip, j) for j in range(1, m.n_cols))
-        and precedes(m, m.wrap(i - m.shift), m.wrap(ip - m.shift))
+        if _tau_step(m, (i, ip)) is not None
     )
     graph = {(s, c0(s)) for s in range(1, N + 1)}
     gamma1 = frozenset(p1_matrix & graph)
@@ -485,25 +485,16 @@ def massey_closed(m: SplittingMatrix, x, y, yp) -> MasseyMap:
                 continue
             if precedes(m, i, ip):
                 row[b_index((i, ip))] += y / (yp - y)
-                kk, beta = 1, matrix_tau(m, (i, ip), 1)
-                while beta is not None:
+                for kk, beta in _chain(m, (i, ip)):
                     row[b_index(beta)] -= x ** (-kk)
-                    kk += 1
-                    beta = matrix_tau(m, (i, ip), kk)
             else:
                 row[b_index((i, ip))] += yp / (yp - y)
-                kk, beta = 1, matrix_tau(m, (ip, i), -1)
-                while beta is not None:
+                for kk, beta in _chain(m, (ip, i), -1):
                     sigma_beta = (beta[1], beta[0])
                     eps = 1 if precedes(m, *sigma_beta) else 0
                     row[b_index(sigma_beta)] += (y ** eps) * x ** kk
-                    kk += 1
-                    beta = matrix_tau(m, (ip, i), -kk)
-                kk, beta = 1, matrix_tau(m, (i, ip), 1)
-                while beta is not None:
+                for kk, beta in _chain(m, (i, ip)):
                     row[b_index(beta)] -= yp * x ** (-kk)
-                    kk += 1
-                    beta = matrix_tau(m, (i, ip), kk)
     return MasseyMap(N, T)
 
 
@@ -573,17 +564,13 @@ def massey_tensor(m: SplittingMatrix, x, y, yp) -> Tensor2:
             if i == ip:
                 continue
             positive = precedes(m, i, ip)
-            kk, beta = 1, matrix_tau(m, (i, ip), 1)
-            while beta is not None:
-                bi, bip = beta
+            for kk, (bi, bip) in _chain(m, (i, ip)):
                 if positive:
                     c[i - 1, ip - 1, bip - 1, bi - 1] += x ** kk
                     c[bip - 1, bi - 1, i - 1, ip - 1] -= x ** (-kk)
                 else:
                     c[i - 1, ip - 1, bip - 1, bi - 1] += y * x ** kk
                     c[bip - 1, bi - 1, i - 1, ip - 1] -= yp * x ** (-kk)
-                kk += 1
-                beta = matrix_tau(m, (i, ip), kk)
     return Tensor2(N, c)
 
 

@@ -129,23 +129,21 @@ _EVAL_KINDS = ("trig", "quantum", "classical", "multiplicative", "rational")
 
 def _cmd_eval(args) -> int:
     kind = args.kind
+    # every point option is parsed, so a malformed one is an error whatever the kind
+    u, v, x, y, yp, c = (_parse_complex(getattr(args, a)) for a in ("u", "v", "x", "y", "yp", "c"))
     if kind == "rational":
-        r = solutions.rational_R(args.n, _parse_complex(args.c))
-        t = r(_parse_complex(args.u), _parse_complex(args.v))
+        t = solutions.rational_R(args.n, c)(u, v)
     else:
         obj = _load_structure(args)
         bd = obj.bd if isinstance(obj, OrderedBDStructure) else obj
         if kind == "trig":
-            t = solutions.trigonometric_r(bd)(_parse_complex(args.u), _parse_complex(args.v))
+            t = solutions.trigonometric_r(bd)(u, v)
         elif kind == "quantum":
-            t = solutions.quantum_R(bd)(_parse_complex(args.u), _parse_complex(args.v))
+            t = solutions.quantum_R(bd)(u, v)
         elif kind == "classical":
-            t = solutions.classical_r0(bd)(_parse_complex(args.v))
+            t = solutions.classical_r0(bd)(v)
         elif kind == "multiplicative":
-            obd = _as_ordered(obj)
-            t = solutions.multiplicative_r(obd)(
-                _parse_complex(args.x), _parse_complex(args.y), _parse_complex(args.yp)
-            )
+            t = solutions.multiplicative_r(_as_ordered(obj))(x, y, yp)
         else:
             raise CliError(f"unknown eval kind {kind!r}")
     _emit(args, json.dumps(_tensor_doc(t), sort_keys=True))
@@ -272,6 +270,8 @@ def _cmd_report(args) -> int:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed report JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError("report must be a JSON object")
     if args.format == "text":
         flag = doc.get("pass")
         _emit(

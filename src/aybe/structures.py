@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 
 __all__ = [
     "InvalidStructure",
@@ -32,13 +33,27 @@ class InvalidStructure(ValueError):
     """A named violation of the structure invariants."""
 
 
+def as_int(value) -> int:
+    """``value`` as a Python int, accepting integer types only (numpy's too).
+
+    ``int`` would read 1.9 as 1 and accept True or "1", so a label or degree
+    that is not a whole number raises ValueError here instead.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 class CyclicPermutation:
     """Transitive cyclic permutation of {1..n}, stored as its image tuple."""
 
     __slots__ = ("n", "images")
 
     def __init__(self, images) -> None:
-        images = tuple(int(i) for i in images)
+        images = tuple(as_int(i) for i in images)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise InvalidStructure("not a permutation of {1..n}")
@@ -110,7 +125,7 @@ class BDStructure:
         if c0.n != c.n:
             raise InvalidStructure("C0 and C act on sets of different sizes")
         n = c0.n
-        gamma1 = frozenset((int(i), int(j)) for i, j in gamma1)
+        gamma1 = frozenset((as_int(i), as_int(j)) for i, j in gamma1)
         graph = frozenset((s, c0(s)) for s in range(1, n + 1))
         if not gamma1 <= graph:
             raise InvalidStructure("improper subset: Gamma1 is not contained in the graph of C0")
@@ -120,7 +135,7 @@ class BDStructure:
         if gamma2 is None:
             gamma2 = image
         else:
-            gamma2 = frozenset((int(i), int(j)) for i, j in gamma2)
+            gamma2 = frozenset((as_int(i), as_int(j)) for i, j in gamma2)
             if gamma2 != image:
                 raise InvalidStructure("image mismatch: (C x C)(Gamma1) != Gamma2")
         if not gamma2 <= graph:
@@ -250,7 +265,7 @@ class OrderedBDStructure:
     __slots__ = ("bd", "alpha0", "positions")
 
     def __init__(self, bd: BDStructure, alpha0: Pair) -> None:
-        alpha0 = (int(alpha0[0]), int(alpha0[1]))
+        alpha0 = (as_int(alpha0[0]), as_int(alpha0[1]))
         if alpha0 not in bd.graph:
             raise InvalidStructure("alpha0 is not an edge of C0")
         self.bd = bd
@@ -371,7 +386,7 @@ def structure_from_json(text: str) -> BDStructure | OrderedBDStructure:
         CyclicPermutation(doc["c"]),
         [tuple(a) for a in doc["gamma1"]],
     )
-    if bd.n != doc["n"]:
+    if bd.n != as_int(doc["n"]):
         raise ValueError("declared size disagrees with the permutations")
     if "alpha0" in doc:
         return OrderedBDStructure(bd, tuple(doc["alpha0"]))

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aybe import bundles
 from aybe.bundles import (
     CrossCheckFailed,
     SplittingMatrix,
+    _tau_step,
+    _tau_step_inv,
     bd_from_matrix,
     gluing_sigma_min,
     hom_dim,
@@ -492,6 +495,15 @@ def test_splitting_matrix_json_round_trip():
         SplittingMatrix.from_json('{"N": 2, "n": 2, "k": 1, "m": [[0, 0]]}')
 
 
+def test_splitting_matrix_entries_must_be_integers():
+    m = SplittingMatrix(((np.int64(0), np.int64(1)), (np.int32(1), 0)), np.int64(1))
+    assert m == SplittingMatrix(((0, 1), (1, 0)), 1)
+    assert all(type(v) is int for row in m.rows for v in row) and type(m.shift) is int
+    for rows, shift in [(((0, 1.0),), 1), (((0, True),), 1), (((0, "1"),), 1), (((0, 1),), True)]:
+        with pytest.raises(ValueError, match="expected an integer"):
+            SplittingMatrix(rows, shift)
+
+
 def test_splitting_matrix_validation():
     with pytest.raises(ValueError):
         SplittingMatrix(((0, 0), (0,)), 1)
@@ -499,3 +511,197 @@ def test_splitting_matrix_validation():
         SplittingMatrix(((0, 0), (0, 0)), 2)  # shift not coprime to N=2
     with pytest.raises(ValueError):
         bd_from_matrix(SplittingMatrix(((0, 0), (0, 0)), 1))  # not simple
+
+
+# ---------------------------------------------------------------------------
+# the order, simplicity and pair bijection walked entry by entry: reference
+# for the period table
+# ---------------------------------------------------------------------------
+
+
+def ref_is_simple(m):
+    N, n = m.n_rows, m.n_cols
+    for i in range(1, N + 1):
+        for ip in range(1, N + 1):
+            if i == ip:
+                continue
+            for j in range(n):
+                if abs(m.rows[i - 1][j] - m.rows[ip - 1][j]) > 1:
+                    return False, ("difference out of range", i, ip, j)
+    period = n * N
+    for i in range(1, N + 1):
+        for ip in range(i + 1, N + 1):
+            signs = [
+                d for j in range(period) if (d := m.entry(i, j) - m.entry(ip, j)) != 0
+            ]
+            if not signs:
+                return False, ("identically zero", i, ip)
+            for a, b in zip(signs, signs[1:] + signs[:1]):
+                if a == b:
+                    return False, ("alternation", i, ip)
+    return True, None
+
+
+def ref_precedes(m, i, ip):
+    if i == ip:
+        return False
+    for j in range(m.n_cols * m.n_rows):
+        d = m.entry(i, j) - m.entry(ip, j)
+        if d:
+            return d < 0
+    raise ValueError(f"rows {i} and {ip} have identical extended columns")
+
+
+def ref_star_order(m):
+    flag, witness = ref_is_simple(m)
+    if not flag:
+        raise ValueError(f"matrix is not simple: {witness}")
+    order = [1]
+    for i in range(2, m.n_rows + 1):
+        lo = 0
+        while lo < len(order) and ref_precedes(m, order[lo], i):
+            lo += 1
+        order.insert(lo, i)
+    return tuple(order)
+
+
+def ref_tau_step(m, alpha):
+    i, ip = alpha
+    if i == ip:
+        return None
+    if any(m.entry(i, j) != m.entry(ip, j) for j in range(1, m.n_cols)):
+        return None
+    ci, cip = m.wrap(i - m.shift), m.wrap(ip - m.shift)
+    if not ref_precedes(m, ci, cip):
+        return None
+    return (ci, cip)
+
+
+def ref_tau_step_inv(m, beta):
+    i, ip = beta
+    if i == ip or not ref_precedes(m, i, ip):
+        return None
+    si, sip = m.wrap(i + m.shift), m.wrap(ip + m.shift)
+    if any(m.entry(si, j) != m.entry(sip, j) for j in range(1, m.n_cols)):
+        return None
+    return (si, sip)
+
+
+def ref_matrix_tau(m, alpha, k):
+    step = ref_tau_step if k >= 0 else ref_tau_step_inv
+    beta = tuple(alpha)
+    for _ in range(abs(k)):
+        beta = step(m, beta)
+        if beta is None:
+            return None
+    return beta
+
+
+def ref_bd_from_matrix(m):
+    """The ordered structure from the insertion-sorted order and the entry-walking P1 rule."""
+    N = m.n_rows
+    order = ref_star_order(m)
+    c0_images = [0] * N
+    for idx, s in enumerate(order):
+        c0_images[s - 1] = order[(idx + 1) % N]
+    c0 = CyclicPermutation(c0_images)
+    c = CyclicPermutation([m.wrap(i - m.shift) for i in range(1, N + 1)])
+    p1 = frozenset(
+        (i, ip)
+        for i in range(1, N + 1)
+        for ip in range(1, N + 1)
+        if i != ip
+        and all(m.entry(i, j) == m.entry(ip, j) for j in range(1, m.n_cols))
+        and ref_precedes(m, m.wrap(i - m.shift), m.wrap(ip - m.shift))
+    )
+    gamma1 = p1 & {(s, c0(s)) for s in range(1, N + 1)}
+    return OrderedBDStructure(BDStructure(c0, c, gamma1), (order[-1], order[0])), p1
+
+
+def random_matrices(rng, count):
+    """Seeded matrices with N <= 6, n <= 5 and any coprime shift; every other one
+    takes two adjacent values only, so that many of them are simple."""
+    out = []
+    for t in range(count):
+        N, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        k = int(rng.choice([k for k in range(1, N + 1) if math.gcd(k, N) == 1]))
+        if t % 2:
+            entries = int(rng.integers(-1, 2)) + rng.integers(0, 2, size=(N, n))
+        else:
+            entries = rng.integers(-1, 3, size=(N, n))
+        out.append(SplittingMatrix(tuple(tuple(r) for r in entries.tolist()), k))
+    return out
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_period_table_matches_entry_walk():
+    simple = 0
+    for m in random_matrices(np.random.default_rng(2024), 2000):
+        flag, witness = is_simple(m)
+        assert (flag, witness) == ref_is_simple(m)
+        simple += flag
+        labels = range(1, m.n_rows + 1)
+        pairs = [(i, ip) for i in labels for ip in labels]
+        assert outcome(star_order, m) == outcome(ref_star_order, m)
+        for p in pairs:
+            assert outcome(precedes, m, *p) == outcome(ref_precedes, m, *p)
+            assert outcome(_tau_step_inv, m, p) == outcome(ref_tau_step_inv, m, p)
+            for k in range(-2, 4):
+                assert outcome(matrix_tau, m, p, k) == outcome(ref_matrix_tau, m, p, k)
+        if flag:
+            obd = bd_from_matrix(m)
+            ref, ref_p1 = ref_bd_from_matrix(m)
+            assert obd == ref and obd.bd.p1 == ref_p1
+        else:
+            with pytest.raises(ValueError, match="not simple"):
+                bd_from_matrix(m)
+    assert 500 < simple < 1500
+
+
+@st.composite
+def splitting_matrices(draw, low=-2, high=2):
+    N, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.sampled_from([k for k in range(1, N + 1) if math.gcd(k, N) == 1]))
+    row = st.tuples(*[st.integers(low, high)] * n)
+    return SplittingMatrix(tuple(draw(st.lists(row, min_size=N, max_size=N))), k)
+
+
+@st.composite
+def simple_matrices(draw):
+    """``matrix_from_sequence`` matrices, possibly negated, so that tau has pairs to move."""
+    N = draw(st.integers(2, 8))
+    k = draw(st.sampled_from([k for k in range(math.ceil(N / 2), N) if math.gcd(k, N) == 1]))
+    seq = [1]
+    for _ in range(N - 1):
+        seq.append(seq[-1] + draw(st.integers(0, 1)))
+    m = matrix_from_sequence(N, k, seq)
+    return m.negate() if draw(st.booleans()) else m
+
+
+@settings(derandomize=True, database=None)
+@given(splitting_matrices())
+def test_matrix_json_round_trip_and_double_negation(m):
+    assert SplittingMatrix.from_json(m.to_json()) == m
+    assert m.negate().negate() == m
+
+
+@settings(derandomize=True, database=None)
+@given(simple_matrices())
+def test_tau_step_inv_inverts_tau_step(m):
+    assert is_simple(m)[0]
+    labels = range(1, m.n_rows + 1)
+    for alpha in [(i, ip) for i in labels for ip in labels]:
+        beta = _tau_step(m, alpha)
+        if beta is not None:
+            assert _tau_step_inv(m, beta) == alpha
+        back = _tau_step_inv(m, alpha)
+        if back is not None:
+            assert _tau_step(m, back) == alpha
+        assert beta == ref_tau_step(m, alpha) and back == ref_tau_step_inv(m, alpha)

@@ -13,7 +13,7 @@ import aybe
 from aybe.bundles import matrix_from_sequence, tau_free_matrix
 from aybe.cli import main
 from aybe.solutions import rational_R
-from aybe.structures import enumerate_structures, structure_to_json
+from aybe.structures import enumerate_ordered, enumerate_structures, structure_to_json
 
 
 def run(capsys, *argv):
@@ -236,6 +236,61 @@ def test_closed_stdout_exits_quietly():
     assert proc.returncode == 0 and err == b""
 
 
+@pytest.mark.parametrize("kind", ["trig", "quantum", "classical", "multiplicative", "rational"])
+@pytest.mark.parametrize("flag", ["--u", "--v", "--x", "--y", "--yp", "--c"])
+def test_eval_malformed_point_is_usage_error_for_every_kind(tmp_path, capsys, kind, flag):
+    path = tmp_path / "bd.json"
+    path.write_text(structure_to_json(enumerate_structures(2)[1]))
+    base = ("eval", "--kind", kind, "--structure", str(path))
+    assert run(capsys, *base)[0] == 0
+    code, out, err = run(capsys, *base, flag, "garbage")
+    assert code == 2 and out == ""
+    assert "RE,IM" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "key,value", [("m", 1.9), ("m", True), ("m", "1"), ("k", True), ("N", 2.0), ("n", 3.0)]
+)
+@pytest.mark.parametrize("command", ["bundle-check", "bundle-bd", "oracle-compare"])
+def test_non_integer_matrix_is_usage_error(tmp_path, capsys, command, key, value):
+    doc = json.loads(tau_free_matrix(2, 3).to_json())
+    if key == "m":
+        doc["m"][0][2] = value
+    else:
+        doc[key] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert "expected an integer" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("c0", [2, 3.7, 1]),
+        ("c", [2, 3, True]),
+        ("gamma1", [[1, 2.2]]),
+        ("alpha0", [3, 1.0]),
+        ("n", 3.0),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "--kind", "multiplicative"), ("verify", "--suite", "aybe2", "--samples", "2")],
+)
+def test_non_integer_structure_is_usage_error(tmp_path, capsys, argv, key, value):
+    doc = json.loads(structure_to_json(enumerate_ordered(3)[1]))
+    path = tmp_path / "bd.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, *argv, "--structure", str(path))[0] == 0
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--structure", str(path))
+    assert code == 2 and out == ""
+    assert "expected an integer" in json.loads(err)["error"]
+
+
 def test_eval_at_pole_is_error(tmp_path, capsys):
     bd = enumerate_structures(2)[0]
     path = tmp_path / "bd.json"
@@ -315,6 +370,16 @@ def test_report_round_trip(tmp_path, capsys):
     single.write_text(json.dumps(stored["reports"][0]))
     code, out, _ = run(capsys, "report", "--in", str(single), "--format", "text")
     assert code == 0 and "pass" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+def test_report_must_be_an_object(tmp_path, capsys, text, fmt):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "report", "--in", str(path), "--format", fmt)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "report must be a JSON object"
 
 
 def test_output_file_and_text_format(tmp_path, capsys):

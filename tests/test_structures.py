@@ -3,7 +3,9 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aybe.structures import (
     BDStructure,
@@ -202,6 +204,79 @@ def test_json_round_trip(corpus_n3):
         assert structure_from_json(structure_to_json(bd)) == bd
     obd = enumerate_ordered(3)[5]
     assert structure_from_json(structure_to_json(obd)) == obd
+
+
+def cycle_through(order) -> CyclicPermutation:
+    images = [0] * len(order)
+    for idx, s in enumerate(order):
+        images[s - 1] = order[(idx + 1) % len(order)]
+    return CyclicPermutation(images)
+
+
+@st.composite
+def candidates(draw):
+    """(C0, C, Gamma1) on {1..n}, n <= 7: two arbitrary transitive cycles and any
+    subset of the graph of C0, valid or not."""
+    n = draw(st.integers(1, 7))
+    c0, c = (cycle_through([1] + draw(st.permutations(range(2, n + 1)))) for _ in range(2))
+    graph = sorted((s, c0(s)) for s in range(1, n + 1))
+    return c0, c, [a for a in graph if draw(st.booleans())]
+
+
+def satisfies_invariants(c0, c, gamma1) -> bool:
+    """The structure axioms checked directly: Gamma1 and its image proper
+    subsets of the graph of C0, and every Gamma1 edge leaving Gamma1 under C x C."""
+    graph = {(s, c0(s)) for s in range(1, c0.n + 1)}
+    gamma1 = set(gamma1)
+    image = {(c(i), c(j)) for i, j in gamma1}
+    if gamma1 == graph or not image <= graph or image == graph:
+        return False
+    for edge in gamma1:
+        seen = set()
+        while edge in gamma1 and edge not in seen:
+            seen.add(edge)
+            edge = (c(edge[0]), c(edge[1]))
+        if edge in gamma1:
+            return False
+    return True
+
+
+@settings(derandomize=True, database=None)
+@given(candidates())
+def test_validation_accepts_exactly_the_structures(candidate):
+    try:
+        BDStructure(*candidate)
+    except InvalidStructure:
+        assert not satisfies_invariants(*candidate)
+    else:
+        assert satisfies_invariants(*candidate)
+
+
+@settings(derandomize=True, database=None)
+@given(candidates(), st.data())
+def test_json_round_trip_and_involutions(candidate, data):
+    assume(satisfies_invariants(*candidate))
+    bd = BDStructure(*candidate)
+    obd = OrderedBDStructure(bd, data.draw(st.sampled_from(sorted(bd.graph))))
+    assert structure_from_json(structure_to_json(obd)) == obd
+    assert structure_from_json(structure_to_json(bd)) == bd
+    assert bd.opposite().opposite() == bd
+    assert bd.inverse().inverse() == bd
+
+
+def test_labels_must_be_integers():
+    assert CyclicPermutation(np.array([2, 3, 1])) == std(3)
+    bd = BDStructure(std(3), std(3), [(np.int64(1), np.int64(2))])
+    assert OrderedBDStructure(bd, (np.int32(3), 1)).alpha0 == (3, 1)
+    for bad in (
+        lambda: CyclicPermutation([2, 3.0, 1]),
+        lambda: CyclicPermutation([2, 3, True]),
+        lambda: BDStructure(std(3), std(3), [(1, 2.2)]),
+        lambda: BDStructure(std(3), std(3), [(1, 2)], gamma2=[(2, "3")]),
+        lambda: OrderedBDStructure(bd, (3.0, 1)),
+    ):
+        with pytest.raises(ValueError, match="expected an integer"):
+            bad()
 
 
 def test_json_declared_size_is_checked(corpus_n3):
