@@ -97,12 +97,11 @@ def _emit(args, text: str) -> None:
 
 
 def _as_ordered(obj) -> OrderedBDStructure:
+    """``obj`` itself if ordered, else marked at its first edge outside Gamma2
+    (one exists, because Gamma2 is a proper subset of the graph of C0)."""
     if isinstance(obj, OrderedBDStructure):
         return obj
-    for alpha0 in sorted(obj.graph):
-        if alpha0 not in obj.gamma2:
-            return OrderedBDStructure(obj, alpha0)
-    raise CliError("structure admits no marked edge outside Gamma2")
+    return OrderedBDStructure(obj, min(obj.graph - obj.gamma2))
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +154,17 @@ def _suite_runners(plan, tol, u_fixed):
     strict = verify.DEFAULT_TOL if tol is None else tol
     loose = verify.EXTRACTION_TOL if tol is None else tol
     return {
-        "aybe": lambda bd, obd: verify.residual_aybe(sol.trigonometric_r(bd), plan, strict),
-        "unitarity": lambda bd, obd: verify.residual_unitarity(sol.trigonometric_r(bd), plan, strict),
-        "qybe": lambda bd, obd: verify.residual_qybe(sol.quantum_R(bd), u_fixed, plan, strict),
-        "qybe-unitarity": lambda bd, obd: verify.residual_qybe_unitarity(sol.quantum_R(bd), plan, strict),
-        "cybe": lambda bd, obd: verify.residual_cybe(sol.classical_r0(bd), plan, strict),
-        "s-identity": lambda bd, obd: verify.residual_s_identity(sol.trigonometric_r(bd), plan, strict),
-        "cubic": lambda bd, obd: verify.residual_cubic(sol.trigonometric_r(bd), plan, strict),
-        "aybe2": lambda bd, obd: verify.residual_aybe2(sol.multiplicative_r(obd), plan, strict),
-        "abc": lambda bd, obd: verify.residual_abc(obd, plan, strict),
-        "laurent-identity": lambda bd, obd: verify.residual_laurent_identity(
-            sol.trigonometric_r(bd), plan, loose
+        "aybe": lambda obd: verify.residual_aybe(sol.trigonometric_r(obd.bd), plan, strict),
+        "unitarity": lambda obd: verify.residual_unitarity(sol.trigonometric_r(obd.bd), plan, strict),
+        "qybe": lambda obd: verify.residual_qybe(sol.quantum_R(obd.bd), u_fixed, plan, strict),
+        "qybe-unitarity": lambda obd: verify.residual_qybe_unitarity(sol.quantum_R(obd.bd), plan, strict),
+        "cybe": lambda obd: verify.residual_cybe(sol.classical_r0(obd.bd), plan, strict),
+        "s-identity": lambda obd: verify.residual_s_identity(sol.trigonometric_r(obd.bd), plan, strict),
+        "cubic": lambda obd: verify.residual_cubic(sol.trigonometric_r(obd.bd), plan, strict),
+        "aybe2": lambda obd: verify.residual_aybe2(sol.multiplicative_r(obd), plan, strict),
+        "abc": lambda obd: verify.residual_abc(obd, plan, strict),
+        "laurent-identity": lambda obd: verify.residual_laurent_identity(
+            sol.trigonometric_r(obd.bd), plan, loose
         ),
     }
 
@@ -181,28 +180,14 @@ def _cmd_verify(args) -> int:
         )
 
     if args.structure or args.stdin:
-        obj = _load_structure(args)
-        bds = [obj.bd if isinstance(obj, OrderedBDStructure) else obj]
-        ordered = [obj if isinstance(obj, OrderedBDStructure) else None]
+        ordered = [_as_ordered(_load_structure(args))]
     else:
-        bds, ordered = [], []
-        for n in range(1, args.n_max + 1):
-            for bd in structures.enumerate_structures(n):
-                bds.append(bd)
-                ordered.append(None)
-
-    reports = []
-    for bd, obd in zip(bds, ordered):
-        for name in names:
-            needs_order = name in ("aybe2", "abc")
-            if needs_order and obd is None:
-                try:
-                    obd_run = _as_ordered(bd)
-                except CliError:
-                    continue
-            else:
-                obd_run = obd or _as_ordered(bd)
-            reports.append(json.loads(runners[name](bd, obd_run).to_json()))
+        ordered = [
+            _as_ordered(bd)
+            for n in range(1, args.n_max + 1)
+            for bd in structures.enumerate_structures(n)
+        ]
+    reports = [json.loads(runners[name](obd).to_json()) for obd in ordered for name in names]
 
     doc = {"reports": reports, "pass": all(r["pass"] for r in reports)}
     if args.format == "text":

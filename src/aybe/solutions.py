@@ -14,13 +14,21 @@ Gamma1, Gamma2) on S = {1..N} is
                                   - e^{(ku+mv)/N} e_i'j' (x) e_ji],
 
 where the last sum runs over chain pairs (i, j) with j = C0^m(i) and
-(i', j') = tau^k(i, j) wherever tau^k is defined.  The other families
-(multiplicative three-variable form, u-only solutions, nilpotent and
-rational families, classical limit) are built in the same style.
+(i', j') = tau^k(i, j) wherever tau^k is defined.
+
+Each such formula is written once, as a term table built per structure:
+one row per term, holding its flat index into the N^4 coefficient array
+and the integer data of its weight.  An evaluation computes the weight
+vector and scatters it into the array.  The classical limit reads the
+trigonometric table at u = 0; the three-variable multiplicative form
+r(x; y, y') = a(x) + y b(x) - y' c(x) + y/(y' - y) P reads the same
+a/b/c table as ``abc_parts``.  The remaining families (u-only, nilpotent,
+rational, gauges and limits) are closed-form closures.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -132,6 +140,11 @@ class SamplePlan:
     guard_margin: float = 0.05
     max_rejects: int = 10_000
 
+    def __post_init__(self) -> None:
+        # a report over zero samples would pass without checking anything
+        if self.count < 1:
+            raise ValueError(f"sample count must be at least 1, got {self.count}")
+
     def draw(self, nvars: int, ok) -> list[tuple[complex, ...]]:
         rng = np.random.default_rng(self.seed)
         lo_re, hi_re, lo_im, hi_im = self.rect
@@ -157,62 +170,75 @@ def _exp_guard(name, slots, combo):
     return Guard(name, slots, lambda *a: abs(np.exp(combo(*a)) - 1.0))
 
 
-def _trig_terms(bd: BDStructure):
-    """Precomputed index data for the trigonometric formula."""
+def _scatter(n: int, idx: np.ndarray, weights: np.ndarray) -> Tensor2:
+    """The Tensor2 whose flat coefficient array is the sum of ``weights`` at ``idx``.
+
+    ``np.add.at`` accumulates repeated indices (P0 and the k = 0 row of the
+    u-diagonal share each (i, i, i, i)).
+    """
+    c = np.zeros(n ** 4, dtype=complex)
+    np.add.at(c, idx, weights)
+    return Tensor2(n, c.reshape(n, n, n, n))
+
+
+def _flat(n: int, quads: np.ndarray) -> np.ndarray:
+    """Flat indices into the N^4 array of rows of 1-based labels (p, q, r, s)."""
+    return np.ravel_multi_index(tuple(quads.T - 1), (n,) * 4)
+
+
+#: blocks of the trigonometric formula, in the order of its prefactors
+_P0, _U_DIAG, _V_OFF, _TAU = range(4)
+
+
+class _TrigTable(NamedTuple):
+    """One row per term of the trigonometric formula: the term adds
+    sign * pre[block] * exp((k u + m v)/N) at the flat index idx."""
+
+    n: int
+    idx: np.ndarray
+    block: np.ndarray
+    k: np.ndarray
+    m: np.ndarray
+    sign: np.ndarray
+
+    def __call__(self, pre, u, v) -> Tensor2:
+        w = self.sign * np.asarray(pre)[self.block] * np.exp((self.k * u + self.m * v) / self.n)
+        return _scatter(self.n, self.idx, w)
+
+
+def _trig_table(bd: BDStructure) -> _TrigTable:
     n = bd.n
-    # chain pairs with their C0-distance m and all defined tau iterates
-    chains = []
-    for (i, j) in sorted(bd.p1):
-        m = next(m for m in range(1, n) if bd.c0.power(i, m) == j)
-        iterates = []
-        k, beta = 1, bd.tau((i, j), 1)
-        while beta is not None:
-            iterates.append((k, beta))
-            k += 1
-            beta = bd.tau((i, j), k)
-        chains.append((i, j, m, iterates))
-    pairs_m = [
-        (i, bd.c0.power(i, m), m) for i in range(1, n + 1) for m in range(1, n)
+    rows = [((i, i, i, i), _P0, 0, 0, 1) for i in range(1, n + 1)]
+    rows += [
+        ((bd.c.power(i, k),) * 2 + (i, i), _U_DIAG, k, 0, 1)
+        for k in range(n)
+        for i in range(1, n + 1)
     ]
-    cpow = [{i: bd.c.power(i, k) for i in range(1, n + 1)} for k in range(n)]
-    return chains, pairs_m, cpow
+    # C0-distance m of every off-diagonal pair (i, j = C0^m i)
+    dist = {(i, bd.c0.power(i, m)): m for i in range(1, n + 1) for m in range(1, n)}
+    rows += [((i, j, j, i), _V_OFF, 0, m, 1) for (i, j), m in dist.items()]
+    for k, (i, j), (ip, jp) in bd._tau_iterates:
+        m = dist[(i, j)]
+        rows.append(((j, i, ip, jp), _TAU, -k, -m, 1))
+        rows.append(((ip, jp, j, i), _TAU, k, m, -1))
+    quads, block, k, m, sign = (np.array(col) for col in zip(*rows))
+    return _TrigTable(n, _flat(n, quads), block, k, m, sign)
 
 
 def trigonometric_r(bd: BDStructure) -> RFun:
     """The trigonometric unitary solution attached to a structure."""
-    n = bd.n
-    chains, pairs_m, cpow = _trig_terms(bd)
+    table = _trig_table(bd)
 
     def fn(u, v):
-        c = np.zeros((n, n, n, n), dtype=complex)
-        # diagonal P0 block; 1/(1 - e^-v) = 1 + 1/(e^v - 1)
-        wv2 = _inv_expm1(v)
-        wv = 1.0 + wv2
-        for i in range(1, n + 1):
-            c[i - 1, i - 1, i - 1, i - 1] += wv
-        # u-dependent diagonal block
-        wu = _inv_expm1(u)
-        for k in range(n):
-            f = wu * np.exp(k * u / n)
-            for i in range(1, n + 1):
-                s = cpow[k][i]
-                c[s - 1, s - 1, i - 1, i - 1] += f
-        # off-diagonal v block
-        for (i, j, m) in pairs_m:
-            c[i - 1, j - 1, j - 1, i - 1] += wv2 * np.exp(m * v / n)
-        # tau block
-        for (i, j, m, iterates) in chains:
-            for (k, (ip, jp)) in iterates:
-                w = (k * u + m * v) / n
-                c[j - 1, i - 1, ip - 1, jp - 1] += np.exp(-w)
-                c[ip - 1, jp - 1, j - 1, i - 1] -= np.exp(w)
-        return Tensor2(n, c)
+        # 1/(1 - e^-v) = 1 + 1/(e^v - 1) on P0
+        wv = _inv_expm1(v)
+        return table((1.0 + wv, _inv_expm1(u), wv, 1.0), u, v)
 
     guards = (
         _exp_guard("exp(u)-1", (0,), lambda u, v: u),
         _exp_guard("exp(v)-1", (1,), lambda u, v: v),
     )
-    return RFun(n, "trigonometric", 2, fn, guards)
+    return RFun(bd.n, "trigonometric", 2, fn, guards)
 
 
 def _quantum_scale(u, v):
@@ -247,91 +273,80 @@ def _require_alpha0_outside_gamma2(obd: OrderedBDStructure) -> None:
         raise ValueError("the marked edge alpha0 must avoid Gamma2 for this family")
 
 
-def _signed_tau_data(obd: OrderedBDStructure):
-    """Lists (k, i, j, C^k j, C^k i) for the positive/negative tau^k domains."""
-    bd = obd.bd
-    plus, minus = [], []
-    for k in range(1, bd.depth + 1):
-        for (i, j) in sorted(bd.tau_domain(k)):
-            ck_i, ck_j = bd.c.power(i, k), bd.c.power(j, k)
-            row = (k, i, j, ck_j, ck_i)
-            (plus if obd.is_positive((i, j)) else minus).append(row)
-    return plus, minus
+class _AbcTable(NamedTuple):
+    """One row per term of a(x), b(x) and c(x), sorted by part (0, 1, 2 for
+    a, b, c): the term adds sign * x^e, times q = 1/(1 - x^N) where geo is
+    set, at the flat index idx of its part; part p fills rows cuts[p]:cuts[p+1]."""
+
+    n: int
+    idx: np.ndarray
+    part: np.ndarray
+    e: np.ndarray
+    sign: np.ndarray
+    geo: np.ndarray
+    cuts: tuple[int, int, int, int]
+
+    def weights(self, x) -> np.ndarray:
+        x = complex(x)
+        w = self.sign * x ** self.e
+        w[self.geo] *= 1.0 / (1.0 - x ** self.n)
+        return w
+
+
+# residual_abc asks for the parts of one structure at four points per sample
+@functools.lru_cache(maxsize=256)
+def _abc_table(obd: OrderedBDStructure) -> _AbcTable:
+    _require_alpha0_outside_gamma2(obd)
+    bd, n = obd.bd, obd.n
+    labels = range(1, n + 1)
+    # (part, (p, q, r, s), sign, exponent, geometric): the diagonal geometric
+    # series and the positive-pair constants, then the tau sums
+    rows = [(0, (i, i) + (bd.c.power(i, k),) * 2, 1, k, True) for i in labels for k in range(n)]
+    rows += [(0, (i, j, j, i), 1, 0, False) for i in labels for j in labels if obd.less(i, j)]
+    for k, (i, j), (ck_i, ck_j) in bd._tau_iterates:
+        if obd.is_positive((i, j)):
+            rows += [(0, (i, j, ck_j, ck_i), 1, k, False), (0, (ck_j, ck_i, i, j), -1, -k, False)]
+        else:
+            rows += [(1, (i, j, ck_j, ck_i), 1, k, False), (2, (ck_j, ck_i, i, j), 1, -k, False)]
+    rows.sort(key=lambda row: row[0])
+    part, quads, sign, e, geo = (np.array(col) for col in zip(*rows))
+    cuts = (0, *np.searchsorted(part, (1, 2)).tolist(), len(part))
+    table = _AbcTable(n, _flat(n, quads), part, e, sign, geo, cuts)
+    for column in table[1:-1]:
+        column.setflags(write=False)  # the cache hands the same arrays to every caller
+    return table
 
 
 def abc_parts(obd: OrderedBDStructure, x) -> tuple[Tensor2, Tensor2, Tensor2]:
     """Decomposition r(x; y, y') = a(x) + y b(x) - y' c(x) + y/(y'-y) P.
 
-    a carries the diagonal geometric series and the positive tau sums,
-    b and c the negative ones; c(x) = b^21(1/x).
+    a carries the diagonal geometric series, the positive-pair constants and
+    the positive tau sums, b and c the negative ones; c(x) = b^21(1/x).
     """
-    _require_alpha0_outside_gamma2(obd)
-    bd, n = obd.bd, obd.n
+    table = _abc_table(obd)
+    n = obd.n
     x = complex(x)
     if abs(x ** n - 1.0) < HARD_GUARD or abs(x) < HARD_GUARD:
         raise PoleError(f"abc parts evaluated at a pole: x={x}")
-    plus, minus = _signed_tau_data(obd)
-
-    ca = np.zeros((n, n, n, n), dtype=complex)
-    q = 1.0 / (1.0 - x ** n)
-    for i in range(1, n + 1):
-        for k in range(n):
-            t = bd.c.power(i, k)
-            ca[i - 1, i - 1, t - 1, t - 1] += q * x ** k
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and obd.less(i, j):
-                ca[i - 1, j - 1, j - 1, i - 1] += 1.0
-    for (k, i, j, ck_j, ck_i) in plus:
-        ca[i - 1, j - 1, ck_j - 1, ck_i - 1] += x ** k
-        ca[ck_j - 1, ck_i - 1, i - 1, j - 1] -= x ** (-k)
-
-    cb = np.zeros((n, n, n, n), dtype=complex)
-    cc = np.zeros((n, n, n, n), dtype=complex)
-    for (k, i, j, ck_j, ck_i) in minus:
-        cb[i - 1, j - 1, ck_j - 1, ck_i - 1] += x ** k
-        cc[ck_j - 1, ck_i - 1, i - 1, j - 1] += x ** (-k)
-
-    return Tensor2(n, ca), Tensor2(n, cb), Tensor2(n, cc)
+    w = table.weights(x)
+    cuts = table.cuts
+    return tuple(_scatter(n, table.idx[a:b], w[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def multiplicative_r(obd: OrderedBDStructure) -> RFun:
     """The three-variable solution r(x; y, y') of the multiplicative form.
 
-    Assembled as r_const(x, y/y') plus the tau sums, with signs read off the
-    complete order fixed by alpha0 (which must avoid Gamma2).
+    Evaluated as a(x) + y b(x) - y' c(x) + y/(y'-y) P from the abc_parts
+    terms, with signs read off the complete order fixed by alpha0 (which
+    must avoid Gamma2).
     """
-    _require_alpha0_outside_gamma2(obd)
-    bd, n = obd.bd, obd.n
-    plus, minus = _signed_tau_data(obd)
-    positive_pairs = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j and obd.less(i, j)
-    ]
+    table = _abc_table(obd)
+    n = obd.n
+    P = perm_P(n)
 
     def fn(x, y, yp):
-        c = np.zeros((n, n, n, n), dtype=complex)
-        z = y / yp
-        w = z / (1.0 - z)
-        for (i, j) in positive_pairs:
-            c[j - 1, i - 1, i - 1, j - 1] += w
-            c[i - 1, j - 1, j - 1, i - 1] += 1.0 / (1.0 - z)
-        for i in range(1, n + 1):
-            c[i - 1, i - 1, i - 1, i - 1] += w
-        q = 1.0 / (1.0 - x ** n)
-        for i in range(1, n + 1):
-            for k in range(n):
-                t = bd.c.power(i, k)
-                c[i - 1, i - 1, t - 1, t - 1] += q * x ** k
-        for (k, i, j, ck_j, ck_i) in plus:
-            c[i - 1, j - 1, ck_j - 1, ck_i - 1] += x ** k
-            c[ck_j - 1, ck_i - 1, i - 1, j - 1] -= x ** (-k)
-        for (k, i, j, ck_j, ck_i) in minus:
-            c[i - 1, j - 1, ck_j - 1, ck_i - 1] += y * x ** k
-            c[ck_j - 1, ck_i - 1, i - 1, j - 1] -= yp * x ** (-k)
-        return Tensor2(n, c)
+        w = table.weights(x) * np.array((1.0, y, -yp))[table.part]
+        return _scatter(n, table.idx, w) + (y / (yp - y)) * P
 
     return RFun(n, "multiplicative", 3, fn, multiplicative_guards(n))
 
@@ -550,9 +565,10 @@ def rational_R(n: int, c=1.0) -> RFun:
 def classical_r0(bd: BDStructure) -> RFun:
     """Closed form of the sl_N (x) sl_N classical limit of the trigonometric
     family: the constant part t = (1/2)(pr (x) pr) P0 + s_C plus the
-    v-dependent diagonal and tau blocks, projected to traceless factors."""
+    v-dependent diagonal and tau blocks (the trigonometric terms at u = 0
+    without the u-diagonal), projected to traceless factors."""
     n = bd.n
-    chains, pairs_m, _ = _trig_terms(bd)
+    table = _trig_table(bd)
 
     s_c = np.zeros((n, n, n, n), dtype=complex)
     for i in range(1, n + 1):
@@ -562,18 +578,8 @@ def classical_r0(bd: BDStructure) -> RFun:
     t_const = project_sl(0.5 * diag_P0(n) + Tensor2(n, s_c), {1, 2})
 
     def fn(v):
-        c = np.zeros((n, n, n, n), dtype=complex)
         wv = _inv_expm1(v)
-        for i in range(1, n + 1):
-            c[i - 1, i - 1, i - 1, i - 1] += wv
-        for (i, j, m) in pairs_m:
-            c[i - 1, j - 1, j - 1, i - 1] += wv * np.exp(m * v / n)
-        for (i, j, m, iterates) in chains:
-            for (k, (ip, jp)) in iterates:
-                w = m * v / n
-                c[j - 1, i - 1, ip - 1, jp - 1] += np.exp(-w)
-                c[ip - 1, jp - 1, j - 1, i - 1] -= np.exp(w)
-        return t_const + project_sl(Tensor2(n, c), {1, 2})
+        return t_const + project_sl(table((wv, 0.0, wv, 1.0), 0.0, v), {1, 2})
 
     guards = (_exp_guard("exp(v)-1", (0,), lambda v: v),)
     return RFun(n, "classical", 1, fn, guards)
@@ -646,12 +652,7 @@ def orbit_symmetry(bd: BDStructure, base: int) -> np.ndarray:
     in the scalar 1/(e^u - 1).  (With empty Gamma1 every base is valid.)
     """
     n = bd.n
-    forbidden = set()
-    for k in range(1, bd.depth + 1):
-        for alpha in bd.tau_domain(k):
-            beta = bd.tau(alpha, k)
-            forbidden.update(beta)
-    if base in forbidden:
+    if any(base in beta for _, _, beta in bd._tau_iterates):
         raise ValueError(
             "base point meets an iterated pair image; no orbit symmetry there"
         )

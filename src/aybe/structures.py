@@ -116,7 +116,7 @@ class BDStructure:
     always valid.  Raises InvalidStructure with a named violation otherwise.
     """
 
-    __slots__ = ("n", "c0", "c", "gamma1", "gamma2", "p1", "p2", "_tau_domains")
+    __slots__ = ("n", "c0", "c", "gamma1", "gamma2", "p1", "p2", "_tau_domains", "_tau_iterates")
 
     #: hard cap on the tau-iteration depth, as a multiple of N * |Gamma1|
     DEPTH_CAP_FACTOR = 1
@@ -163,7 +163,7 @@ class BDStructure:
 
         self.p1 = self._chain_closure(gamma1)
         self.p2 = self._chain_closure(gamma2)
-        self._tau_domains = self._compute_tau_domains(cap)
+        self._tau_domains, self._tau_iterates = self._walk_tau(cap)
 
     def _chain_closure(self, edges: frozenset) -> frozenset:
         """Pairs (s, C0^k(s)) whose every intermediate C0-edge lies in ``edges``."""
@@ -177,17 +177,20 @@ class BDStructure:
                     break
         return frozenset(out)
 
-    def _compute_tau_domains(self, cap: int) -> tuple[frozenset, ...]:
-        domains = []
-        current = self.p1
-        while current:
+    def _walk_tau(self, cap: int) -> tuple[tuple[frozenset, ...], tuple]:
+        """The domains of tau^k, k = 1, 2, ..., and the one enumeration of the
+        triples (k, alpha, tau^k alpha), k ascending and alpha sorted, that
+        every tau sum of the solution families reads."""
+        domains, iterates = [], []
+        images = {a: a for a in self.p1}  # alpha -> tau^(k-1) alpha on the domain of tau^k
+        while images:
             if len(domains) >= cap:
                 raise InvalidStructure("nilpotency failure: tau depth exceeds N * |Gamma1|")
-            domains.append(current)
-            current = frozenset(
-                a for a in current if _apply_cxc(self.c, a, len(domains)) in self.p1
-            )
-        return tuple(domains)
+            domains.append(frozenset(images))
+            images = {a: _apply_cxc(self.c, b) for a, b in images.items()}
+            iterates += [(len(domains), a, images[a]) for a in sorted(images)]
+            images = {a: b for a, b in images.items() if b in self.p1}
+        return tuple(domains), tuple(iterates)
 
     # -- queries ---------------------------------------------------------
 
@@ -212,16 +215,16 @@ class BDStructure:
         return len(self._tau_domains)
 
     def tau(self, alpha: Pair, k: int = 1) -> Pair | None:
-        """Apply tau k times (inverse tau for negative k); None when undefined."""
-        if k == 0:
-            return alpha
-        if k < 0:
-            return self.inverse().tau(alpha, -k)
+        """Apply tau k times (inverse tau for negative k); None when undefined.
+
+        tau maps P1 to P2 by C x C, so tau^-1 walks back from P2 by C^-1 x C^-1.
+        """
+        domain, step = (self.p1, 1) if k >= 0 else (self.p2, -1)
         beta = alpha
-        for _ in range(k):
-            if beta not in self.p1:
+        for _ in range(abs(k)):
+            if beta not in domain:
                 return None
-            beta = _apply_cxc(self.c, beta)
+            beta = _apply_cxc(self.c, beta, step)
         return beta
 
     # -- derived structures ----------------------------------------------

@@ -25,6 +25,7 @@ from aybe.structures import BDStructure, CyclicPermutation, OrderedBDStructure, 
 from aybe.tensors import (
     Tensor2,
     compose2,
+    diag_P0,
     is_nondegenerate,
     perm_P,
     project_sl,
@@ -446,3 +447,201 @@ def test_orbit_symmetry_shear_concentrates_u(bd3, rng):
     # the v-only part satisfies the twisted unitarity r21(-v) + r(v) = 1 (x) 1
     rv_neg = sheared(u1, -v) - (1.0 / (np.exp(u1) - 1.0)) * one
     assert (swap_factors(rv_neg) + t1 - one).max_abs() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# term tables against the per-coefficient loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_inv_expm1(z):
+    return np.exp(-z / 2) / (2.0 * np.sinh(z / 2))
+
+
+def _ref_trig_terms(bd):
+    n = bd.n
+    chains = []
+    for (i, j) in sorted(bd.p1):
+        m = next(m for m in range(1, n) if bd.c0.power(i, m) == j)
+        iterates = []
+        k, beta = 1, bd.tau((i, j), 1)
+        while beta is not None:
+            iterates.append((k, beta))
+            k += 1
+            beta = bd.tau((i, j), k)
+        chains.append((i, j, m, iterates))
+    pairs_m = [(i, bd.c0.power(i, m), m) for i in range(1, n + 1) for m in range(1, n)]
+    return chains, pairs_m
+
+
+def ref_trigonometric(bd, u, v):
+    n = bd.n
+    chains, pairs_m = _ref_trig_terms(bd)
+    c = np.zeros((n, n, n, n), dtype=complex)
+    wv2 = _ref_inv_expm1(v)
+    wv = 1.0 + wv2
+    for i in range(1, n + 1):
+        c[i - 1, i - 1, i - 1, i - 1] += wv
+    wu = _ref_inv_expm1(u)
+    for k in range(n):
+        f = wu * np.exp(k * u / n)
+        for i in range(1, n + 1):
+            s = bd.c.power(i, k)
+            c[s - 1, s - 1, i - 1, i - 1] += f
+    for (i, j, m) in pairs_m:
+        c[i - 1, j - 1, j - 1, i - 1] += wv2 * np.exp(m * v / n)
+    for (i, j, m, iterates) in chains:
+        for (k, (ip, jp)) in iterates:
+            w = (k * u + m * v) / n
+            c[j - 1, i - 1, ip - 1, jp - 1] += np.exp(-w)
+            c[ip - 1, jp - 1, j - 1, i - 1] -= np.exp(w)
+    return c
+
+
+def ref_classical_r0(bd, v):
+    n = bd.n
+    chains, pairs_m = _ref_trig_terms(bd)
+    s_c = np.zeros((n, n, n, n), dtype=complex)
+    for i in range(1, n + 1):
+        for k in range(1, n):
+            t = bd.c.power(i, k)
+            s_c[i - 1, i - 1, t - 1, t - 1] += 0.5 - k / n
+    t_const = project_sl(0.5 * diag_P0(n) + Tensor2(n, s_c), {1, 2})
+    c = np.zeros((n, n, n, n), dtype=complex)
+    wv = _ref_inv_expm1(v)
+    for i in range(1, n + 1):
+        c[i - 1, i - 1, i - 1, i - 1] += wv
+    for (i, j, m) in pairs_m:
+        c[i - 1, j - 1, j - 1, i - 1] += wv * np.exp(m * v / n)
+    for (i, j, m, iterates) in chains:
+        for (k, (ip, jp)) in iterates:
+            w = m * v / n
+            c[j - 1, i - 1, ip - 1, jp - 1] += np.exp(-w)
+            c[ip - 1, jp - 1, j - 1, i - 1] -= np.exp(w)
+    return (t_const + project_sl(Tensor2(n, c), {1, 2})).coeffs
+
+
+def _ref_signed_tau_data(obd):
+    bd = obd.bd
+    plus, minus = [], []
+    for k in range(1, bd.depth + 1):
+        for (i, j) in sorted(bd.tau_domain(k)):
+            row = (k, i, j, bd.c.power(j, k), bd.c.power(i, k))
+            (plus if obd.is_positive((i, j)) else minus).append(row)
+    return plus, minus
+
+
+def ref_abc_parts(obd, x):
+    bd, n = obd.bd, obd.n
+    plus, minus = _ref_signed_tau_data(obd)
+    ca = np.zeros((n, n, n, n), dtype=complex)
+    q = 1.0 / (1.0 - x ** n)
+    for i in range(1, n + 1):
+        for k in range(n):
+            t = bd.c.power(i, k)
+            ca[i - 1, i - 1, t - 1, t - 1] += q * x ** k
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and obd.less(i, j):
+                ca[i - 1, j - 1, j - 1, i - 1] += 1.0
+    for (k, i, j, ck_j, ck_i) in plus:
+        ca[i - 1, j - 1, ck_j - 1, ck_i - 1] += x ** k
+        ca[ck_j - 1, ck_i - 1, i - 1, j - 1] -= x ** (-k)
+    cb = np.zeros((n, n, n, n), dtype=complex)
+    cc = np.zeros((n, n, n, n), dtype=complex)
+    for (k, i, j, ck_j, ck_i) in minus:
+        cb[i - 1, j - 1, ck_j - 1, ck_i - 1] += x ** k
+        cc[ck_j - 1, ck_i - 1, i - 1, j - 1] += x ** (-k)
+    return ca, cb, cc
+
+
+def ref_multiplicative(obd, x, y, yp):
+    bd, n = obd.bd, obd.n
+    plus, minus = _ref_signed_tau_data(obd)
+    c = np.zeros((n, n, n, n), dtype=complex)
+    z = y / yp
+    w = z / (1.0 - z)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and obd.less(i, j):
+                c[j - 1, i - 1, i - 1, j - 1] += w
+                c[i - 1, j - 1, j - 1, i - 1] += 1.0 / (1.0 - z)
+    for i in range(1, n + 1):
+        c[i - 1, i - 1, i - 1, i - 1] += w
+    q = 1.0 / (1.0 - x ** n)
+    for i in range(1, n + 1):
+        for k in range(n):
+            t = bd.c.power(i, k)
+            c[i - 1, i - 1, t - 1, t - 1] += q * x ** k
+    for (k, i, j, ck_j, ck_i) in plus:
+        c[i - 1, j - 1, ck_j - 1, ck_i - 1] += x ** k
+        c[ck_j - 1, ck_i - 1, i - 1, j - 1] -= x ** (-k)
+    for (k, i, j, ck_j, ck_i) in minus:
+        c[i - 1, j - 1, ck_j - 1, ck_i - 1] += y * x ** k
+        c[ck_j - 1, ck_i - 1, i - 1, j - 1] -= yp * x ** (-k)
+    return c
+
+
+def ref_quantum(bd, u, v):
+    return ref_trigonometric(bd, u, v) / (0.5 / np.sinh(u / 2) + 0.5 / np.sinh(v / 2))
+
+
+def ref_difference(obd, u1, u2, v1, v2):
+    n = obd.n
+    pos = np.array([obd.position(s) for s in range(1, n + 1)], dtype=float)
+    t = ref_multiplicative(obd, np.exp((u1 - u2) / n), np.exp(v1), np.exp(v2))
+    dp = pos[None, :] - pos[:, None]
+    return t * np.exp(dp * v1 / n)[:, :, None, None] * np.exp(dp * v2 / n)[None, None, :, :]
+
+
+def _table_corpus():
+    """Every ordered structure with N <= 4, and the structures of depth >= 2
+    among twelve seeded N = 8 draws (the deepest of 64 each)."""
+    from perfbench.workloads import random_structure
+
+    rng = np.random.default_rng(2024)
+    deep = [bd for bd in (random_structure(8, rng, 64) for _ in range(12)) if bd.depth >= 2]
+    assert len(deep) >= 4 and max(bd.depth for bd in deep) >= 3
+    ordered = [OrderedBDStructure(bd, min(bd.graph - bd.gamma2)) for bd in deep]
+    return [obd for n in range(1, 5) for obd in enumerate_ordered(n)] + ordered
+
+
+def _assert_matches(new, ref, what):
+    scale = max(1.0, float(np.abs(ref).max()))
+    err = float(np.abs(new - ref).max())
+    assert err <= 1e-14 * scale, (what, err, scale)
+
+
+POINTS = 10
+
+#: family -> (constructor, reference), both taking an ordered structure
+FAMILIES = {
+    "trigonometric": (lambda obd: trigonometric_r(obd.bd), lambda obd, *z: ref_trigonometric(obd.bd, *z)),
+    "quantum": (lambda obd: quantum_R(obd.bd), lambda obd, *z: ref_quantum(obd.bd, *z)),
+    "classical": (lambda obd: classical_r0(obd.bd), lambda obd, *z: ref_classical_r0(obd.bd, *z)),
+    "multiplicative": (multiplicative_r, ref_multiplicative),
+    "difference": (difference_form, ref_difference),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_tables_match_reference_loops(family):
+    build, ref = FAMILIES[family]
+    rng = np.random.default_rng(31)
+    for obd in _table_corpus():
+        r = build(obd)
+        for _ in range(POINTS):
+            z = guarded_point(rng, r, margin=0.1)
+            _assert_matches(r(*z).coeffs, ref(obd, *z), (family, obd, z))
+
+
+def test_abc_parts_table_matches_reference_loops():
+    rng = np.random.default_rng(32)
+    for obd in _table_corpus():
+        n = obd.n
+        for _ in range(POINTS):
+            x = rand_complex(rng)
+            while min(abs(x), abs(x ** n - 1.0)) < 0.1:
+                x = rand_complex(rng)
+            for part, new, ref in zip("abc", abc_parts(obd, x), ref_abc_parts(obd, x)):
+                _assert_matches(new.coeffs, ref, (part, obd, x))

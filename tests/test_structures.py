@@ -88,6 +88,31 @@ def test_tau_walks():
     assert bd.tau((1, 2), 0) == (1, 2)
 
 
+def test_negative_tau_is_tau_of_the_inverse_structure():
+    # tau^-k walks back from P2; the inverse structure (C0, C^-1, Gamma2, Gamma1)
+    # has P1 = P2, so its tau^k is the same walk
+    cases = 0
+    for n in range(1, 6):
+        for bd in enumerate_structures(n):
+            inv = bd.inverse()
+            for alpha in itertools.product(range(1, n + 1), repeat=2):
+                for k in range(1, inv.depth + 2):
+                    assert bd.tau(alpha, -k) == inv.tau(alpha, k), (bd, alpha, k)
+                    cases += 1
+    assert cases == 13413
+
+
+def test_tau_iterates_enumerate_every_tau_domain():
+    for n in range(1, 6):
+        for bd in enumerate_structures(n):
+            expected = [
+                (k, alpha, bd.tau(alpha, k))
+                for k in range(1, bd.depth + 1)
+                for alpha in sorted(bd.tau_domain(k))
+            ]
+            assert list(bd._tau_iterates) == expected
+
+
 def test_opposite_and_inverse_are_involutions(corpus_n3):
     for bd in corpus_n3:
         assert bd.opposite().opposite() == bd

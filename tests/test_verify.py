@@ -85,6 +85,13 @@ def test_nan_in_a_later_abc_condition_fails_the_report(bd4):
     assert all(np.isnan(rep.per_sample)) and not rep.passed
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_plan_without_samples_is_rejected(bd3, count):
+    # a report over no samples would pass without checking anything
+    with pytest.raises(ValueError, match="at least 1"):
+        residual_aybe(perturb(trigonometric_r(bd3), 1.0), SamplePlan(count=count))
+
+
 def test_sampler_exhaustion():
     plan = SamplePlan(seed=0, count=4, guard_margin=1e9, max_rejects=50)
     bd = BDStructure(CyclicPermutation.standard(2), CyclicPermutation.standard(2), [])
