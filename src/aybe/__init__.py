@@ -35,7 +35,6 @@ from .solutions import (
     quantum_R,
     rational_R,
     s_product,
-    symmetry_shear,
     trigonometric_r,
     u_only_r,
 )

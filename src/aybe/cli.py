@@ -47,6 +47,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _n_max(text: str) -> int:
+    """argparse type for the largest enumerated set size: an integer in 1..5."""
+    value = int(text)
+    if not 1 <= value <= 5:
+        raise argparse.ArgumentTypeError(f"must be between 1 and 5, got {value}")
+    return value
+
+
 def _complex_pairs(array: np.ndarray):
     out = np.stack([array.real, array.imag], axis=-1)
     return out.tolist()
@@ -316,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run residual suites")
     sp.add_argument("--suite", default="all")
     sp.add_argument("--u-fixed", dest="u_fixed", default="0.9,0.2")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=4,
+    sp.add_argument("--n-max", dest="n_max", type=_n_max, default=4,
                     help="largest set size when no structure is given")
     common(sp, "seed", "samples", "tol", "format", "stdin", "structure")
     sp.set_defaults(fn=_cmd_verify)

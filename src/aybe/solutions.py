@@ -68,7 +68,6 @@ __all__ = [
     "laurent_r1",
     "s_product",
     "orbit_symmetry",
-    "symmetry_shear",
 ]
 
 #: below this pole distance evaluation refuses to proceed
@@ -662,19 +661,3 @@ def orbit_symmetry(bd: BDStructure, base: int) -> np.ndarray:
         vals[s - 1] = k / n
         s = bd.c(s)
     return np.diag(vals)
-
-
-def symmetry_shear(r: RFun, a) -> RFun:
-    """The one-sided gauge e^{u (1 (x) a)} r(u, v) e^{-u (a (x) 1)} for diagonal a."""
-    n = r.n
-    a = as_matrix(a, n)
-    da = np.diag(a)
-
-    def fn(u, v):
-        t = r(u, v)
-        left2 = np.exp(u * da)
-        right1 = np.exp(-u * da)
-        coeffs = t.coeffs * right1[None, :, None, None] * left2[None, None, :, None]
-        return Tensor2(n, coeffs)
-
-    return RFun(n, "sheared", 2, fn, r.guards)

@@ -118,9 +118,6 @@ class BDStructure:
 
     __slots__ = ("n", "c0", "c", "gamma1", "gamma2", "p1", "p2", "_tau_domains", "_tau_iterates")
 
-    #: hard cap on the tau-iteration depth, as a multiple of N * |Gamma1|
-    DEPTH_CAP_FACTOR = 1
-
     def __init__(self, c0: CyclicPermutation, c: CyclicPermutation, gamma1, gamma2=None) -> None:
         if c0.n != c.n:
             raise InvalidStructure("C0 and C act on sets of different sizes")

@@ -1,9 +1,13 @@
 """Residual suites over seeded pole-avoiding sample plans, with structured reports.
 
 Each suite draws a deterministic sequence of complex sample tuples,
-rejecting any tuple for which some evaluation point of the identity comes
-closer than the guard margin to a declared pole, evaluates the identity,
-and reports the maximum absolute coefficient of left minus right.
+evaluates the identity, and reports the maximum absolute coefficient of
+left minus right.  Most identities list their evaluation points once, as
+(family, arguments) pairs of a sample: the same list rejects any tuple
+that brings one of its points closer than the guard margin to a declared
+pole of its family, and supplies the values the residual contracts.
+The a/b/c closure, the s-identity and the h-equation, whose evaluations
+are not plain family calls, keep a hand-written acceptance test.
 Aggregation is a NaN-propagating max, so a NaN or infinite sample anywhere
 fails the report, and reports are independent of evaluation order;
 identical seeds give bit-identical reports.
@@ -111,8 +115,13 @@ def _worst(*values: float) -> float:
     return float(np.max(values))
 
 
-def _guard_all(r: RFun, pts, margin: float) -> bool:
-    return all(r.pole_distance(*p) > margin for p in pts)
+def _aybe_lhs(a12, a13, a23, b12, b13, b23) -> np.ndarray:
+    """Operator of a12 a13 - a23 b12 + b13 b23, the shape of every associative equation."""
+    return (
+        _prod((a12, (1, 2)), (a13, (1, 3)))
+        - _prod((a23, (2, 3)), (b12, (1, 2)))
+        + _prod((b13, (1, 3)), (b23, (2, 3)))
+    )
 
 
 def _run(suite, plan, tol, nvars, ok, residual) -> Report:
@@ -121,57 +130,64 @@ def _run(suite, plan, tol, nvars, ok, residual) -> Report:
     return Report(suite, plan, per, tol)
 
 
+def _run_at(suite, plan, tol, nvars, points, residual, ok=None) -> Report:
+    """``_run`` for an identity that evaluates RFun families at listed points.
+
+    ``points(*z)`` lists the (family, args) pairs the identity evaluates at
+    sample z.  A candidate is kept if ``ok(z)`` holds (when given; it runs
+    first) and every pair keeps ``family.pole_distance(*args)`` above the
+    guard margin; ``residual`` receives the values ``family(*args)`` in order.
+    """
+    margin = plan.guard_margin
+
+    def keep(z):
+        if ok is not None and not ok(z):
+            return False
+        return all(f.pole_distance(*args) > margin for f, args in points(*z))
+
+    def evaluate(*z):
+        return residual(*(f(*args) for f, args in points(*z)))
+
+    return _run(suite, plan, tol, nvars, keep, evaluate)
+
+
 # ---------------------------------------------------------------------------
 # associative equation and unitarity
 # ---------------------------------------------------------------------------
 
 
-def residual_aybe(r: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT_TOL) -> Report:
+def residual_aybe(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL) -> Report:
     """Associative Yang-Baxter residual.
 
     Two-variable functions are tested in (u, u', v, v'); one-variable
     functions in the u-only degeneration of the same equation.
     """
-    plan = plan or SamplePlan()
     if r.arity not in (1, 2):
         raise ValueError("aybe residual supports one- and two-variable functions")
 
-    def args(u, up, v=0.0, vp=0.0):
-        """Arguments of r12, r13, r23, r12, r13, r23 in the equation; the u-only
+    def points(u, up, v=0.0, vp=0.0):
+        """r12, r13, r23, r12, r13, r23 of the equation; the u-only
         degeneration keeps the u entry of each."""
         pairs = ((-up, v), (u + up, v + vp), (u + up, vp), (u, v), (u, v + vp), (up, vp))
-        return [p[: r.arity] for p in pairs]
+        return [(r, p[: r.arity]) for p in pairs]
 
-    def res(*z):
-        a12, a13, a23, b12, b13, b23 = args(*z)
-        t = (
-            _prod((r(*a12), (1, 2)), (r(*a13), (1, 3)))
-            - _prod((r(*a23), (2, 3)), (r(*b12), (1, 2)))
-            + _prod((r(*b13), (1, 3)), (r(*b23), (2, 3)))
-        )
-        return _max_abs(t)
-
-    return _run(
-        "aybe", plan, tol, 2 * r.arity,
-        lambda z: _guard_all(r, args(*z), plan.guard_margin),
-        res,
+    return _run_at(
+        "aybe", plan, tol, 2 * r.arity, points, lambda *t: _max_abs(_aybe_lhs(*t))
     )
 
 
-def residual_unitarity(r: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT_TOL) -> Report:
+def residual_unitarity(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL) -> Report:
     """Unitarity residual r^21 at the negated arguments plus r itself."""
-    plan = plan or SamplePlan()
     if r.arity not in (1, 2):
         raise ValueError("unitarity residual supports one- and two-variable functions")
 
-    def neg(z):
-        return tuple(-w for w in z)
+    def points(*z):
+        return [(r, z), (r, tuple(-w for w in z))]
 
-    def res(*z):
-        return (swap_factors(r(*neg(z))) + r(*z)).max_abs()
+    def res(at, at_neg):
+        return (swap_factors(at_neg) + at).max_abs()
 
-    ok = lambda z: _guard_all(r, [z, neg(z)], plan.guard_margin)
-    return _run("unitarity", plan, tol, r.arity, ok, res)
+    return _run_at("unitarity", plan, tol, r.arity, points, res)
 
 
 # ---------------------------------------------------------------------------
@@ -180,54 +196,47 @@ def residual_unitarity(r: RFun, plan: SamplePlan | None = None, tol: float = DEF
 
 
 def residual_qybe(
-    R: RFun, u_fixed=0.9 + 0.2j, plan: SamplePlan | None = None, tol: float = DEFAULT_TOL
+    R: RFun, u_fixed=0.9 + 0.2j, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL
 ) -> Report:
     """Quantum Yang-Baxter residual in v at fixed u."""
-    plan = plan or SamplePlan()
 
-    def pts(v, vp):
-        return [(u_fixed, v), (u_fixed, v + vp), (u_fixed, vp)]
+    def points(v, vp):
+        return [(R, (u_fixed, v)), (R, (u_fixed, v + vp)), (R, (u_fixed, vp))]
 
-    def res(v, vp):
-        a = (R(u_fixed, v), (1, 2))
-        b = (R(u_fixed, v + vp), (1, 3))
-        c = (R(u_fixed, vp), (2, 3))
+    def res(r12, r13, r23):
+        a, b, c = (r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))
         return _max_abs(_prod(a, b, c) - _prod(c, b, a))
 
-    return _run(
-        "qybe", plan, tol, 2,
-        lambda z: _guard_all(R, pts(*z), plan.guard_margin),
-        res,
-    )
+    return _run_at("qybe", plan, tol, 2, points, res)
 
 
 def residual_qybe_unitarity(
-    R: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT_TOL
+    R: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL
 ) -> Report:
     """Residual of R(u, v) R^21(u, -v) - 1 (x) 1."""
-    plan = plan or SamplePlan()
     one = unit2(R.n)
 
-    def res(u, v):
-        return (compose2(R(u, v), swap_factors(R(u, -v))) - one).max_abs()
+    def points(u, v):
+        return [(R, (u, v)), (R, (u, -v))]
 
-    ok = lambda z: _guard_all(R, [z, (z[0], -z[1])], plan.guard_margin)
-    return _run("qybe-unitarity", plan, tol, 2, ok, res)
+    def res(at, at_neg_v):
+        return (compose2(at, swap_factors(at_neg_v)) - one).max_abs()
+
+    return _run_at("qybe-unitarity", plan, tol, 2, points, res)
 
 
-def residual_cybe(r0: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT_TOL) -> Report:
+def _v_points(f: RFun, v, vp):
+    """(f, v), (f, v + v'), (f, v'): the 12, 13 and 23 points of a one-variable identity."""
+    return [(f, (v,)), (f, (v + vp,)), (f, (vp,))]
+
+
+def residual_cybe(r0: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL) -> Report:
     """Classical Yang-Baxter residual for a one-variable function."""
-    plan = plan or SamplePlan()
     if r0.arity != 1:
         raise ValueError("cybe residual needs a one-variable function")
 
-    def pts(v, vp):
-        return [(v,), (v + vp,), (vp,)]
-
-    def res(v, vp):
-        a = (r0(v), (1, 2))
-        b = (r0(v + vp), (1, 3))
-        c = (r0(vp), (2, 3))
+    def res(r12, r13, r23):
+        a, b, c = (r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))
         # [a, b] - [c, a] + [b, c], grouped by left factor so one operator is live at a time
         left = _op(*a)
         t = rmul_embed(left, *b) + rmul_embed(left, *c)
@@ -237,11 +246,7 @@ def residual_cybe(r0: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT
         t -= rmul_embed(left, *a) + rmul_embed(left, *b)
         return _max_abs(t)
 
-    return _run(
-        "cybe", plan, tol, 2,
-        lambda z: _guard_all(r0, pts(*z), plan.guard_margin),
-        res,
-    )
+    return _run_at("cybe", plan, tol, 2, lambda v, vp: _v_points(r0, v, vp), res)
 
 
 # ---------------------------------------------------------------------------
@@ -249,44 +254,37 @@ def residual_cybe(r0: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT
 # ---------------------------------------------------------------------------
 
 
-def residual_aybe2(rm: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT_TOL) -> Report:
+def residual_aybe2(rm: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL) -> Report:
     """Residual of the three-variable associative equation plus its unitarity."""
-    plan = plan or SamplePlan()
     if rm.arity != 3:
         raise ValueError("this residual needs a three-variable function")
 
-    def pts(x, xp, y1, y2, y3):
+    def ok(z):
+        # runs before ``points``, which divides by x and x'
+        return min(abs(z[0]), abs(z[1])) >= plan.guard_margin
+
+    def points(x, xp, y1, y2, y3):
+        """The six factors of the equation, then r21 at 1/x for unitarity."""
         return [
-            (1.0 / xp, y1, y2),
-            (x * xp, y1, y3),
-            (x * xp, y2, y3),
-            (x, y1, y2),
-            (x, y1, y3),
-            (xp, y2, y3),
-            (1.0 / x, y2, y1),
+            (rm, (1.0 / xp, y1, y2)),
+            (rm, (x * xp, y1, y3)),
+            (rm, (x * xp, y2, y3)),
+            (rm, (x, y1, y2)),
+            (rm, (x, y1, y3)),
+            (rm, (xp, y2, y3)),
+            (rm, (1.0 / x, y2, y1)),
         ]
 
-    def ok(z):
-        x, xp = z[0], z[1]
-        if min(abs(x), abs(xp)) < plan.guard_margin:
-            return False
-        return _guard_all(rm, pts(*z), plan.guard_margin)
+    def res(a12, a13, a23, b12, b13, b23, inv21):
+        unit = (swap_factors(b12) + inv21).max_abs()
+        return _worst(_max_abs(_aybe_lhs(a12, a13, a23, b12, b13, b23)), unit)
 
-    def res(x, xp, y1, y2, y3):
-        t = (
-            _prod((rm(1.0 / xp, y1, y2), (1, 2)), (rm(x * xp, y1, y3), (1, 3)))
-            - _prod((rm(x * xp, y2, y3), (2, 3)), (rm(x, y1, y2), (1, 2)))
-            + _prod((rm(x, y1, y3), (1, 3)), (rm(xp, y2, y3), (2, 3)))
-        )
-        unit = (swap_factors(rm(x, y1, y2)) + rm(1.0 / x, y2, y1)).max_abs()
-        return _worst(_max_abs(t), unit)
-
-    return _run("aybe2", plan, tol, 5, ok, res)
+    return _run_at("aybe2", plan, tol, 5, points, res, ok)
 
 
 def residual_abc(
     obd: OrderedBDStructure,
-    plan: SamplePlan | None = None,
+    plan: SamplePlan = SamplePlan(),
     tol: float = DEFAULT_TOL,
     parts=abc_parts,
 ) -> Report:
@@ -296,7 +294,6 @@ def residual_abc(
     (iii) the quadratic b relation, (iv) the mixed a/c relation.
     ``parts`` may substitute another decomposition, e.g. for mutation tests.
     """
-    plan = plan or SamplePlan()
     n = obd.n
 
     def guard(x):
@@ -314,11 +311,7 @@ def residual_abc(
         axp, bxp, cxp = parts(obd, xp)
         a_inv_xp = parts(obd, 1.0 / xp)[0]
         a_prod, b_prod, c_prod = parts(obd, x * xp)
-        r1 = _max_abs(
-            _prod((a_inv_xp, (1, 2)), (a_prod, (1, 3)))
-            - _prod((a_prod, (2, 3)), (ax, (1, 2)))
-            + _prod((ax, (1, 3)), (axp, (2, 3)))
-        )
+        r1 = _max_abs(_aybe_lhs(a_inv_xp, a_prod, a_prod, ax, ax, axp))
         r2 = _max_abs(_prod((bx, (1, 2)), (bxp, (1, 3))))
         r3 = _max_abs(
             _prod((bx, (1, 3)), (bxp, (2, 3)))
@@ -347,7 +340,7 @@ def _trig_s_scalar(u, v):
 
 def residual_s_identity(
     r: RFun,
-    plan: SamplePlan | None = None,
+    plan: SamplePlan = SamplePlan(),
     tol: float = DEFAULT_TOL,
     scalar=None,
 ) -> Report:
@@ -358,7 +351,6 @@ def residual_s_identity(
     complex to test families with a different product normalization,
     e.g. lambda u, v: 1/v**2.
     """
-    plan = plan or SamplePlan()
     scalar = scalar or _trig_s_scalar
     s = s_product(r)
     one = unit2(r.n)
@@ -376,7 +368,7 @@ def residual_s_identity(
     return _run("s-identity", plan, tol, 2, ok, res)
 
 
-def residual_cubic(r: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT_TOL) -> Report:
+def residual_cubic(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL) -> Report:
     """Cubic identity relating triple products of r to s-brackets.
 
     For u_ij = u_i - u_j, v_ij = v_i - v_j the three expressions
@@ -388,51 +380,34 @@ def residual_cubic(r: RFun, plan: SamplePlan | None = None, tol: float = DEFAULT
     agree for every unitary solution; the residual is the largest pairwise
     deviation.
     """
-    plan = plan or SamplePlan()
     s = s_product(r)
 
-    def pairs(u1, u2, u3, v1, v2, v3):
+    def points(u1, u2, u3, v1, v2, v3):
+        """The six r-factors of the triple products, r13(u13, v13), then the four
+        s-factors; s guards r at both signs of its first argument."""
         u12, u13, u23 = u1 - u2, u1 - u3, u2 - u3
         v12, v13, v23 = v1 - v2, v1 - v3, v2 - v3
-        return u12, u13, u23, v12, v13, v23
-
-    def pts(*z):
-        u12, u13, u23, v12, v13, v23 = pairs(*z)
-        out = [
-            (u12, v12), (u23, v13), (u12, v23), (u23, v23), (u12, v13), (u23, v12),
-            (u13, v13),
+        return [
+            (r, (u12, v12)), (r, (u23, v13)), (r, (u12, v23)),
+            (r, (u23, v23)), (r, (u12, v13)), (r, (u23, v12)),
+            (r, (u13, v13)),
+            (s, (u23, v23)), (s, (-u12, v23)), (s, (-u23, v12)), (s, (u12, v12)),
         ]
-        out += [(-u12, v12), (-u23, v23), (-u12, v23), (-u23, v12)]
-        return out
 
-    def res(*z):
-        u12, u13, u23, v12, v13, v23 = pairs(*z)
+    def res(a12, a13, a23, b23, b13, b12, r13, s23, s23_neg, s12_neg, s12):
         e1 = (
-            _prod((r(u12, v12), (1, 2)), (r(u23, v13), (1, 3)), (r(u12, v23), (2, 3)))
-            - _prod((r(u23, v23), (2, 3)), (r(u12, v13), (1, 3)), (r(u23, v12), (1, 2)))
+            _prod((a12, (1, 2)), (a13, (1, 3)), (a23, (2, 3)))
+            - _prod((b23, (2, 3)), (b13, (1, 3)), (b12, (1, 2)))
         )
-        e2 = (
-            _prod((s(u23, v23), (2, 3)), (r(u13, v13), (1, 3)))
-            - _prod((r(u13, v13), (1, 3)), (s(-u12, v23), (2, 3)))
-        )
-        e3 = (
-            _prod((r(u13, v13), (1, 3)), (s(-u23, v12), (1, 2)))
-            - _prod((s(u12, v12), (1, 2)), (r(u13, v13), (1, 3)))
-        )
+        e2 = _prod((s23, (2, 3)), (r13, (1, 3))) - _prod((r13, (1, 3)), (s23_neg, (2, 3)))
+        e3 = _prod((r13, (1, 3)), (s12_neg, (1, 2))) - _prod((s12, (1, 2)), (r13, (1, 3)))
         return _worst(_max_abs(e1 - e2), _max_abs(e2 - e3))
 
-    return _run(
-        "cubic", plan, tol, 6,
-        lambda z: _guard_all(r, pts(*z), plan.guard_margin),
-        res,
-    )
+    return _run_at("cubic", plan, tol, 6, points, res)
 
 
 def residual_laurent_identity(
-    r: RFun,
-    plan: SamplePlan | None = None,
-    tol: float = EXTRACTION_TOL,
-    eps: float = 1e-4,
+    r: RFun, plan: SamplePlan = SamplePlan(), tol: float = EXTRACTION_TOL
 ) -> Report:
     """Quadratic identity between the first two Laurent coefficients at u = 0:
 
@@ -441,26 +416,18 @@ def residual_laurent_identity(
 
     with r0, r1 extracted numerically by central differencing.
     """
-    plan = plan or SamplePlan()
-    r0 = laurent_r0(r, eps)
-    r1 = laurent_r1(r, eps)
+    r0 = laurent_r0(r)
+    r1 = laurent_r1(r)
 
-    def pts(v, vp):
-        return [(v,), (v + vp,), (vp,)]
+    def points(v, vp):
+        return _v_points(r0, v, vp) + _v_points(r1, v, vp)
 
-    def res(v, vp):
-        a = (r0(v), (1, 2))
-        b = (r0(v + vp), (1, 3))
-        c = (r0(vp), (2, 3))
-        lhs = _prod(a, b) - _prod(c, a) + _prod(b, c)
-        rhs = _op(r1(v), (1, 2)) + _op(r1(v + vp), (1, 3)) + _op(r1(vp), (2, 3))
+    def res(a12, a13, a23, b12, b13, b23):
+        lhs = _aybe_lhs(a12, a13, a23, a12, a13, a23)
+        rhs = _op(b12, (1, 2)) + _op(b13, (1, 3)) + _op(b23, (2, 3))
         return _max_abs(lhs - rhs)
 
-    return _run(
-        "laurent-identity", plan, tol, 2,
-        lambda z: _guard_all(r0, pts(*z), plan.guard_margin),
-        res,
-    )
+    return _run_at("laurent-identity", plan, tol, 2, points, res)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +445,7 @@ _H_FORMS = {
 
 def residual_h_equation(
     h_kind: str = "inverse_v",
-    plan: SamplePlan | None = None,
+    plan: SamplePlan = SamplePlan(),
     tol: float = 1e-10,
     h=None,
     h_prime=None,
@@ -491,7 +458,6 @@ def residual_h_equation(
     expansion 1/v + O(v^3); for the hyperbolic family that representative
     is (1/2) coth(v/2) - v/12, which is what ``half_coth`` denotes.
     """
-    plan = plan or SamplePlan()
     if h is None:
         if h_kind not in _H_FORMS:
             raise ValueError(f"unknown h form {h_kind!r}")
@@ -513,16 +479,14 @@ def residual_h_equation(
 
 
 def residual_symmetry(
-    r: RFun, a, plan: SamplePlan | None = None, tol: float = DEFAULT_TOL
+    r: RFun, a, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL
 ) -> Report:
     """Residual of [a (x) 1 + 1 (x) a, r(...)] over guarded samples."""
-    plan = plan or SamplePlan()
-
-    def res(*z):
-        return sym_commutator(r(*z), a).max_abs()
-
-    ok = lambda z: r.pole_distance(*z) > plan.guard_margin
-    return _run("symmetry", plan, tol, r.arity, ok, res)
+    return _run_at(
+        "symmetry", plan, tol, r.arity,
+        lambda *z: [(r, z)],
+        lambda t: sym_commutator(t, a).max_abs(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -105,13 +105,21 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("n_max", ["0", "-3", "6"])
+def test_n_max_outside_enumerated_sizes_is_usage_error(capsys, n_max, fmt):
+    # below 1 the run would check no structure at all and still pass
+    code, out, _ = run(capsys, "verify", "--suite", "unitarity", "--n-max", n_max, "--format", fmt)
+    assert code == 2 and out == ""
+
+
 def test_sampler_exhaustion_is_usage_error(tmp_path, capsys, monkeypatch):
-    from aybe import verify
+    from aybe.solutions import RFun
 
     bd = enumerate_structures(2)[1]
     path = tmp_path / "bd.json"
     path.write_text(structure_to_json(bd))
-    monkeypatch.setattr(verify, "_guard_all", lambda *args: False)
+    monkeypatch.setattr(RFun, "pole_distance", lambda self, *args: 0.0)
     code, out, err = run(capsys, "verify", "--suite", "aybe", "--structure", str(path))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -17,7 +17,6 @@ from aybe.solutions import (
     quantum_R,
     rational_R,
     s_product,
-    symmetry_shear,
     trigonometric_r,
     u_only_r,
 )
@@ -438,7 +437,7 @@ def test_orbit_symmetry_shear_concentrates_u(bd3, rng):
     a = orbit_symmetry(bd3, 1)
     pt = guarded_point(rng, r)
     assert sym_commutator(r(*pt), a).max_abs() < 1e-12
-    sheared = symmetry_shear(r, a)
+    sheared = gauge_transform(r, a=a)
     one = unit2(3)
     u1, u2, v = 0.7 + 0.2j, -1.1 + 0.9j, pt[1]
     t1 = sheared(u1, v) - (1.0 / (np.exp(u1) - 1.0)) * one

@@ -8,14 +8,16 @@ import pytest
 from aybe.solutions import (
     RFun,
     abc_parts,
+    classical_r0,
     laurent_r0,
+    multiplicative_r,
     nilpotent_r,
     quantum_R,
     rational_R,
     trigonometric_r,
     u_only_r,
 )
-from aybe.structures import BDStructure, CyclicPermutation, OrderedBDStructure
+from aybe.structures import BDStructure, CyclicPermutation, OrderedBDStructure, enumerate_structures
 from aybe.tensors import Tensor2, perm_P, unit2
 from aybe.verify import (
     Report,
@@ -232,3 +234,142 @@ def test_guard_margin_respected(bd3):
     pts = plan.draw(2, lambda z: r.pole_distance(*z) > plan.guard_margin)
     for z in pts:
         assert r.pole_distance(*z) > 0.3
+
+
+# ---------------------------------------------------------------------------
+# sample streams against hand-written guard lists
+# ---------------------------------------------------------------------------
+#
+# Each suite lists its evaluation points once, and that list both guards and
+# evaluates.  These are the guard lists the suites used to spell out beside
+# their evaluations; every suite must draw exactly the samples they accept.
+# The wide guard margin makes rejections common, so a changed guard set shows.
+
+
+def ref_aybe(arity):
+    def pts(u, up, v=0.0, vp=0.0):
+        pairs = ((-up, v), (u + up, v + vp), (u + up, vp), (u, v), (u, v + vp), (up, vp))
+        return [p[:arity] for p in pairs]
+
+    return pts
+
+
+def ref_unitarity(*z):
+    return [z, tuple(-w for w in z)]
+
+
+def ref_qybe(v, vp, u_fixed=0.9 + 0.2j):
+    return [(u_fixed, v), (u_fixed, v + vp), (u_fixed, vp)]
+
+
+def ref_qybe_unitarity(u, v):
+    return [(u, v), (u, -v)]
+
+
+def ref_cybe(v, vp):
+    return [(v,), (v + vp,), (vp,)]
+
+
+def ref_aybe2(x, xp, y1, y2, y3):
+    return [
+        (1.0 / xp, y1, y2),
+        (x * xp, y1, y3),
+        (x * xp, y2, y3),
+        (x, y1, y2),
+        (x, y1, y3),
+        (xp, y2, y3),
+        (1.0 / x, y2, y1),
+    ]
+
+
+def ref_cubic(u1, u2, u3, v1, v2, v3):
+    u12, u13, u23 = u1 - u2, u1 - u3, u2 - u3
+    v12, v13, v23 = v1 - v2, v1 - v3, v2 - v3
+    out = [(u12, v12), (u23, v13), (u12, v23), (u23, v23), (u12, v13), (u23, v12), (u13, v13)]
+    out += [(-u12, v12), (-u23, v23), (-u12, v23), (-u23, v12)]
+    return out
+
+
+def ref_laurent_identity(v, vp):
+    return ref_cybe(v, vp)  # guarded on r0, whose guards r1 shares
+
+
+def _ref_ok(f, pts, margin):
+    return lambda z: all(f.pole_distance(*p) > margin for p in pts(*z))
+
+
+def _ref_aybe2_ok(rm, margin):
+    guarded = _ref_ok(rm, ref_aybe2, margin)
+    return lambda z: min(abs(z[0]), abs(z[1])) >= margin and guarded(z)
+
+
+def _stream_cases(obd, m):
+    """(name, nvars, reference ok at margin m, run(plan)) for every suite on ``_run_at``."""
+    r = trigonometric_r(obd.bd)
+    R = quantum_R(obd.bd)
+    r0 = classical_r0(obd.bd)
+    rm = multiplicative_r(obd)
+    a = np.eye(obd.n)
+    return [
+        ("aybe", 4, _ref_ok(r, ref_aybe(2), m), lambda p: residual_aybe(r, p)),
+        ("unitarity", 2, _ref_ok(r, ref_unitarity, m), lambda p: residual_unitarity(r, p)),
+        ("qybe", 2, _ref_ok(R, ref_qybe, m), lambda p: residual_qybe(R, 0.9 + 0.2j, p)),
+        ("qybe-unitarity", 2, _ref_ok(R, ref_qybe_unitarity, m),
+         lambda p: residual_qybe_unitarity(R, p)),
+        ("cybe", 2, _ref_ok(r0, ref_cybe, m), lambda p: residual_cybe(r0, p)),
+        ("aybe2", 5, _ref_aybe2_ok(rm, m), lambda p: residual_aybe2(rm, p)),
+        ("cubic", 6, _ref_ok(r, ref_cubic, m), lambda p: residual_cubic(r, p)),
+        ("laurent-identity", 2, _ref_ok(laurent_r0(r), ref_laurent_identity, m),
+         lambda p: residual_laurent_identity(r, p)),
+        ("symmetry", 2, _ref_ok(r, lambda *z: [z], m), lambda p: residual_symmetry(r, a, p)),
+    ]
+
+
+class _Drawn(Exception):
+    """Carries the samples of a suite's draw, skipping its evaluation."""
+
+
+def _drawn(monkeypatch, run, plan):
+    """The samples ``run(plan)`` draws."""
+    draw = SamplePlan.draw
+
+    def stop(self, nvars, ok):
+        raise _Drawn(draw(self, nvars, ok))
+
+    with monkeypatch.context() as m, pytest.raises(_Drawn) as caught:
+        m.setattr(SamplePlan, "draw", stop)
+        run(plan)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_suites_draw_the_samples_of_their_reference_guard_lists(monkeypatch, seed):
+    plan = SamplePlan(seed=seed, count=32, guard_margin=0.5)
+    for bd in [bd for n in (1, 2, 3) for bd in enumerate_structures(n)]:
+        obd = OrderedBDStructure(bd, min(bd.graph - bd.gamma2))
+        for name, nvars, ref_ok, run in _stream_cases(obd, plan.guard_margin):
+            want = plan.draw(nvars, ref_ok)
+            assert _drawn(monkeypatch, run, plan) == want, (name, obd)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cubic_s_points_guard_both_signs_of_u(monkeypatch, bd3, seed):
+    # r's guards read u and v apart, so there cubic's s-points add no guard its
+    # r-points lack; R's prefactor guard couples u and v, so here each one counts
+    R = quantum_R(bd3)
+    plan = SamplePlan(seed=seed, count=32, guard_margin=0.5)
+    want = plan.draw(6, _ref_ok(R, ref_cubic, plan.guard_margin))
+    assert _drawn(monkeypatch, lambda p: residual_cubic(R, p), plan) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "suite,nvars,ref", [(residual_aybe, 2, ref_aybe(1)), (residual_unitarity, 1, ref_unitarity)]
+)
+def test_one_variable_suites_draw_the_samples_of_their_reference_guard_lists(
+    monkeypatch, seed, suite, nvars, ref
+):
+    r = u_only_r(np.diag([0.3, -0.3]))
+    plan = SamplePlan(seed=seed, count=32, guard_margin=0.5)
+    want = plan.draw(nvars, _ref_ok(r, ref, plan.guard_margin))
+    assert _drawn(monkeypatch, lambda p: suite(r, p), plan) == want
