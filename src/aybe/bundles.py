@@ -12,9 +12,10 @@ over one period, where each entry a^j_{ii'} is a section of O(d) with
 d = m^j_i - m^j_{i'} (twisted by one point y on column 0 for the residue
 problem).  This module implements the simplicity test, the induced
 complete order and partial pair bijection, the derived combinatorial
-structure, the evaluate-after-residue-inversion map both in closed form
-and by solving the gluing system directly, and the resulting three
-variable tensor.
+structure, the three-variable tensor assembled from the matrix data, and
+the evaluate-after-residue-inversion map two ways: read off that tensor
+(the closed form) and by solving the gluing system directly (the
+independent oracle).
 """
 
 from __future__ import annotations
@@ -458,44 +459,15 @@ def _check_massey_args(m, x, y, yp, margin=0.0):
 
 
 def massey_closed(m: SplittingMatrix, x, y, yp) -> MasseyMap:
-    """Closed-form evaluate-after-residue-inversion map.
+    """Closed-form evaluate-after-residue-inversion map, read off the tensor.
 
-    Positive pairs take y b/(y'-y) minus the backward geometric sum over
-    the pair bijection; negative pairs add the forward sum with the
-    order-sign powers of y; the diagonal solves its cyclic recursion as a
-    geometric series in x.
+    Entry ((i, i'), (p, p')) is the coefficient of e_{p'p} (x) e_{ii'} in
+    ``massey_tensor(m, x, y, yp)``, so the map and the tensor are one
+    closed form; ``massey_oracle`` is the independent derivation.
     """
-    _require_simple(m)
-    N, k = m.n_rows, m.shift
-    x, y, yp = _check_massey_args(m, x, y, yp, margin=1e-12)
-    T = np.zeros((N * N, N * N), dtype=complex)
-
-    def b_index(pair):
-        return (pair[0] - 1) * N + (pair[1] - 1)
-
-    for i in range(1, N + 1):
-        for ip in range(1, N + 1):
-            row = T[b_index((i, ip))]
-            if i == ip:
-                row[b_index((i, i))] += y / (yp - y)
-                q = 1.0 / (1.0 - x ** N)
-                for l in range(N):
-                    t = m.wrap(i + l * k)
-                    row[b_index((t, t))] += q * x ** l
-                continue
-            if precedes(m, i, ip):
-                row[b_index((i, ip))] += y / (yp - y)
-                for kk, beta in _chain(m, (i, ip)):
-                    row[b_index(beta)] -= x ** (-kk)
-            else:
-                row[b_index((i, ip))] += yp / (yp - y)
-                for kk, beta in _chain(m, (ip, i), -1):
-                    sigma_beta = (beta[1], beta[0])
-                    eps = 1 if precedes(m, *sigma_beta) else 0
-                    row[b_index(sigma_beta)] += (y ** eps) * x ** kk
-                for kk, beta in _chain(m, (i, ip)):
-                    row[b_index(beta)] -= yp * x ** (-kk)
-    return MasseyMap(N, T)
+    N = m.n_rows
+    c = massey_tensor(m, x, y, yp).coeffs
+    return MasseyMap(N, c.transpose(2, 3, 1, 0).reshape(N * N, N * N))
 
 
 def massey_oracle(m: SplittingMatrix, x, y, yp, sv_floor: float = 1e-8) -> MasseyMap:

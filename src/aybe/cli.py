@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -28,31 +29,31 @@ class CliError(Exception):
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
-        pass
-    raise CliError(f"cannot parse complex number from {text!r}; use RE or RE,IM")
+        parts = []
+    if len(parts) in (1, 2) and all(map(math.isfinite, parts)):
+        return complex(*parts)
+    raise CliError(f"cannot parse a finite complex number from {text!r}; use RE or RE,IM")
 
 
-def _count(text: str) -> int:
-    """argparse type for a sample or trial count: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(cast, ok, what: str):
+    """argparse type: ``cast`` of the text, which must satisfy ``ok``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _n_max(text: str) -> int:
-    """argparse type for the largest enumerated set size: an integer in 1..5."""
-    value = int(text)
-    if not 1 <= value <= 5:
-        raise argparse.ArgumentTypeError(f"must be between 1 and 5, got {value}")
-    return value
+_count = _checked(int, lambda v: v >= 1, "at least 1")  # a sample or trial count
+_n_max = _checked(int, lambda v: 1 <= v <= 5, "between 1 and 5")  # largest enumerated set size
+_tol = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and above 0")
 
 
 def _complex_pairs(array: np.ndarray):
@@ -257,25 +258,57 @@ def _cmd_oracle_compare(args) -> int:
     return 0 if doc["pass"] else 1
 
 
+#: JSON types of the fields of one stored report
+_REPORT_FIELDS = {
+    "suite": (str,),
+    "seed": (int,),
+    "samples": (int,),
+    "max_residual": (int, float),
+    "tol": (int, float),
+    "pass": (bool,),
+}
+
+
+def _require_fields(doc, fields) -> None:
+    if not isinstance(doc, dict):
+        raise CliError("report must be a JSON object")
+    for name, types in fields.items():
+        if type(doc.get(name)) not in types:  # type(), not isinstance: True is not an int here
+            raise CliError(f"report field {name!r} is missing or has the wrong type")
+
+
+def _check_report(doc) -> tuple[str, bool]:
+    """The text line of one stored report and whether it passes: its verdict
+    is derived again as at least one sample and a finite max_residual at most
+    a finite tol, and a stored ``pass`` that disagrees fails it."""
+    _require_fields(doc, _REPORT_FIELDS)
+    res, tol = doc["max_residual"], doc["tol"]
+    ok = doc["samples"] >= 1 and math.isfinite(res) and math.isfinite(tol) and res <= tol
+    verdict = "pass" if ok else "FAIL"
+    if doc["pass"] != ok:
+        verdict = f"FAIL (stored pass={json.dumps(doc['pass'])})"
+    shown = ("suite", "seed", "samples", "max_residual", "tol")
+    line = " ".join(f"{name}={doc[name]}" for name in shown)
+    return f"{line} {verdict}", ok and doc["pass"]
+
+
 def _cmd_report(args) -> int:
     text = _read_source(args, "infile", "in")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed report JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError("report must be a JSON object")
+    _require_fields(doc, {})  # a JSON object, of either shape
+    if "reports" in doc:  # verify's document
+        _require_fields(doc, {"reports": (list,), "pass": (bool,)})
+    checked = [_check_report(r) for r in doc.get("reports", [doc])]
+    # a stored overall pass that disagrees with its reports fails too, as does an empty list
+    passed = bool(checked) and all(ok for _, ok in checked) and doc["pass"]
     if args.format == "text":
-        flag = doc.get("pass")
-        _emit(
-            args,
-            f"suite={doc.get('suite')} seed={doc.get('seed')} samples={doc.get('samples')} "
-            f"max_residual={doc.get('max_residual')} tol={doc.get('tol')} "
-            + ("pass" if flag else "FAIL"),
-        )
+        _emit(args, "\n".join(line for line, _ in checked))
     else:
         _emit(args, json.dumps(doc, sort_keys=True))
-    return 0 if doc.get("pass") else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "out": dict(default=None),
         "seed": dict(type=int, default=0),
         "samples": dict(type=_count, default=32),
-        "tol": dict(type=float, default=None,
+        "tol": dict(type=_tol, default=None,
                     help="residual tolerance (per-suite default when omitted)"),
         "format": dict(choices=("json", "text"), default="json"),
         "stdin": dict(action="store_true", help="read JSON input from stdin"),

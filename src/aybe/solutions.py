@@ -20,7 +20,8 @@ Each such formula is written once, as a term table built per structure:
 one row per term, holding its flat index into the N^4 coefficient array
 and the integer data of its weight.  An evaluation computes the weight
 vector and scatters it into the array.  The classical limit reads the
-trigonometric table at u = 0; the three-variable multiplicative form
+trigonometric table's Laurent constant and its v-dependent blocks at
+u = 0; the three-variable multiplicative form
 r(x; y, y') = a(x) + y b(x) - y' c(x) + y/(y' - y) P reads the same
 a/b/c table as ``abc_parts``.  The remaining families (u-only, nilpotent,
 rational, gauges and limits) are closed-form closures.
@@ -39,7 +40,6 @@ from .tensors import (
     Tensor2,
     as_matrix,
     compose2,
-    diag_P0,
     perm_P,
     project_sl,
     swap_factors,
@@ -479,14 +479,9 @@ def u_only_r(a, c=1.0) -> RFun:
         op = operator(u)
         if np.linalg.svd(op, compute_uv=False)[-1] <= 1e-8:
             raise PoleError(f"defining operator is singular at u={u}")
+        # coefficient [p, q, r, s] is entry (p, q) of phi(e_sr), tensored with e_rs
         phi = np.linalg.inv(op)
-        coeffs = np.zeros((n, n, n, n), dtype=complex)
-        for rr in range(n):
-            for ss in range(n):
-                # phi(e_{ss rr}) tensored with e_{rr ss}
-                col = phi[:, ss * n + rr].reshape(n, n)
-                coeffs[:, :, rr, ss] = col
-        return Tensor2(n, coeffs)
+        return Tensor2(n, phi.reshape(n, n, n, n).transpose(0, 1, 3, 2))
 
     guards = (
         Guard(
@@ -563,18 +558,16 @@ def rational_R(n: int, c=1.0) -> RFun:
 
 def classical_r0(bd: BDStructure) -> RFun:
     """Closed form of the sl_N (x) sl_N classical limit of the trigonometric
-    family: the constant part t = (1/2)(pr (x) pr) P0 + s_C plus the
-    v-dependent diagonal and tau blocks (the trigonometric terms at u = 0
-    without the u-diagonal), projected to traceless factors."""
+    family, read off its term table and projected to traceless factors.
+
+    The constant part is the table's Laurent constant at u = 0: 1 on P0 and
+    k/N - 1/2 on the u-diagonal row of weight e^{ku/N}/(e^u - 1).  The
+    v-dependent part is every other block at u = 0, with 1/(e^v - 1) on P0.
+    """
     n = bd.n
     table = _trig_table(bd)
-
-    s_c = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(1, n + 1):
-        for k in range(1, n):
-            t = bd.c.power(i, k)
-            s_c[i - 1, i - 1, t - 1, t - 1] += 0.5 - k / n
-    t_const = project_sl(0.5 * diag_P0(n) + Tensor2(n, s_c), {1, 2})
+    const = np.select([table.block == _P0, table.block == _U_DIAG], [1.0, table.k / n - 0.5], 0.0)
+    t_const = project_sl(_scatter(n, table.idx, const), {1, 2})
 
     def fn(v):
         wv = _inv_expm1(v)

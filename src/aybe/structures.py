@@ -116,7 +116,7 @@ class BDStructure:
     always valid.  Raises InvalidStructure with a named violation otherwise.
     """
 
-    __slots__ = ("n", "c0", "c", "gamma1", "gamma2", "p1", "p2", "_tau_domains", "_tau_iterates")
+    __slots__ = ("n", "c0", "c", "gamma1", "gamma2", "p1", "p2", "_tau_iterates")
 
     def __init__(self, c0: CyclicPermutation, c: CyclicPermutation, gamma1, gamma2=None) -> None:
         if c0.n != c.n:
@@ -160,7 +160,7 @@ class BDStructure:
 
         self.p1 = self._chain_closure(gamma1)
         self.p2 = self._chain_closure(gamma2)
-        self._tau_domains, self._tau_iterates = self._walk_tau(cap)
+        self._tau_iterates = self._walk_tau(cap)
 
     def _chain_closure(self, edges: frozenset) -> frozenset:
         """Pairs (s, C0^k(s)) whose every intermediate C0-edge lies in ``edges``."""
@@ -174,20 +174,20 @@ class BDStructure:
                     break
         return frozenset(out)
 
-    def _walk_tau(self, cap: int) -> tuple[tuple[frozenset, ...], tuple]:
-        """The domains of tau^k, k = 1, 2, ..., and the one enumeration of the
-        triples (k, alpha, tau^k alpha), k ascending and alpha sorted, that
-        every tau sum of the solution families reads."""
-        domains, iterates = [], []
+    def _walk_tau(self, cap: int) -> tuple:
+        """The one enumeration of the triples (k, alpha, tau^k alpha), k
+        ascending and alpha sorted, that every tau sum of the solution
+        families and every domain of tau^k read."""
+        depth, iterates = 0, []
         images = {a: a for a in self.p1}  # alpha -> tau^(k-1) alpha on the domain of tau^k
         while images:
-            if len(domains) >= cap:
+            if depth >= cap:
                 raise InvalidStructure("nilpotency failure: tau depth exceeds N * |Gamma1|")
-            domains.append(frozenset(images))
+            depth += 1
             images = {a: _apply_cxc(self.c, b) for a, b in images.items()}
-            iterates += [(len(domains), a, images[a]) for a in sorted(images)]
+            iterates += [(depth, a, images[a]) for a in sorted(images)]
             images = {a: b for a, b in images.items() if b in self.p1}
-        return tuple(domains), tuple(iterates)
+        return tuple(iterates)
 
     # -- queries ---------------------------------------------------------
 
@@ -202,14 +202,12 @@ class BDStructure:
         """Domain of tau^k inside P1 (empty beyond the nilpotency depth)."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if k > len(self._tau_domains):
-            return frozenset()
-        return self._tau_domains[k - 1]
+        return frozenset(alpha for kk, alpha, _ in self._tau_iterates if kk == k)
 
     @property
     def depth(self) -> int:
-        """Largest k for which tau^k has nonempty domain."""
-        return len(self._tau_domains)
+        """Largest k for which tau^k has nonempty domain (0 when tau is empty)."""
+        return self._tau_iterates[-1][0] if self._tau_iterates else 0
 
     def tau(self, alpha: Pair, k: int = 1) -> Pair | None:
         """Apply tau k times (inverse tau for negative k); None when undefined.

@@ -10,6 +10,7 @@ from aybe import bundles
 from aybe.bundles import (
     CrossCheckFailed,
     SplittingMatrix,
+    _chain,
     _tau_step,
     _tau_step_inv,
     bd_from_matrix,
@@ -663,6 +664,54 @@ def test_period_table_matches_entry_walk():
             with pytest.raises(ValueError, match="not simple"):
                 bd_from_matrix(m)
     assert 500 < simple < 1500
+
+
+def ref_massey_closed(m, x, y, yp):
+    """The Massey map written pair by pair: positive pairs take y b/(y'-y) minus
+    the backward geometric sum over the pair bijection; negative pairs add the
+    forward sum with the order-sign powers of y; the diagonal solves its cyclic
+    recursion as a geometric series in x."""
+    N, k = m.n_rows, m.shift
+    T = np.zeros((N * N, N * N), dtype=complex)
+
+    def b_index(pair):
+        return (pair[0] - 1) * N + (pair[1] - 1)
+
+    for i in range(1, N + 1):
+        for ip in range(1, N + 1):
+            row = T[b_index((i, ip))]
+            if i == ip:
+                row[b_index((i, i))] += y / (yp - y)
+                q = 1.0 / (1.0 - x ** N)
+                for l in range(N):
+                    t = m.wrap(i + l * k)
+                    row[b_index((t, t))] += q * x ** l
+                continue
+            if precedes(m, i, ip):
+                row[b_index((i, ip))] += y / (yp - y)
+                for kk, beta in _chain(m, (i, ip)):
+                    row[b_index(beta)] -= x ** (-kk)
+            else:
+                row[b_index((i, ip))] += yp / (yp - y)
+                for kk, beta in _chain(m, (ip, i), -1):
+                    sigma_beta = (beta[1], beta[0])
+                    eps = 1 if precedes(m, *sigma_beta) else 0
+                    row[b_index(sigma_beta)] += (y ** eps) * x ** kk
+                for kk, beta in _chain(m, (i, ip)):
+                    row[b_index(beta)] -= yp * x ** (-kk)
+    return T
+
+
+def test_massey_closed_matches_reference_loop():
+    rng = np.random.default_rng(2025)
+    simple = [m for m in random_matrices(rng, 4000) if is_simple(m)[0]]
+    assert len(simple) >= 1000
+    for m in small_corpus() + simple:
+        for _ in range(2):
+            x, y, yp = guarded_triple(rng, m.n_rows)
+            ref = ref_massey_closed(m, x, y, yp)
+            got = massey_closed(m, x, y, yp).matrix
+            assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
 @st.composite

@@ -152,6 +152,10 @@ def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, "enumerate", "--n", "2", "--bogus")[0] == 2
 
 
+# one complete stored report, as verify writes it
+_REPORT = {"suite": "aybe", "seed": 0, "samples": 4, "max_residual": 1e-15, "tol": 1e-8, "pass": True}
+
+
 # options each subcommand used to accept without ever reading them
 _UNREAD = {
     "enumerate": ("--seed", "--samples", "--tol", "--stdin"),
@@ -171,7 +175,7 @@ def test_unread_options_are_usage_errors(tmp_path, capsys, command, flag):
     mpath = tmp_path / "m.json"
     mpath.write_text(tau_free_matrix(2, 3).to_json())
     rpath = tmp_path / "r.json"
-    rpath.write_text(json.dumps({"suite": "aybe", "pass": True}))
+    rpath.write_text(json.dumps(_REPORT))
     base = {
         "enumerate": ("--n", "2"),
         "eval": ("--kind", "rational"),
@@ -388,6 +392,98 @@ def test_report_must_be_an_object(tmp_path, capsys, text, fmt):
     code, out, err = run(capsys, "report", "--in", str(path), "--format", fmt)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "report must be a JSON object"
+
+
+def run_report(tmp_path, capsys, doc, fmt="json"):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "report", "--in", str(path), "--format", fmt)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"max_residual": float("nan")},
+        {"max_residual": float("inf")},
+        {"tol": float("nan")},
+        {"max_residual": 1.0},
+        {"samples": 0},
+    ],
+)
+def test_report_rederives_a_failing_verdict(tmp_path, capsys, change):
+    code, out, _ = run_report(tmp_path, capsys, {**_REPORT, **change}, "text")
+    assert code == 1 and "FAIL (stored pass=true)" in out
+
+
+def test_report_fails_a_stored_fail_with_passing_numbers(tmp_path, capsys):
+    code, out, _ = run_report(tmp_path, capsys, {**_REPORT, "pass": False}, "text")
+    assert code == 1 and "FAIL (stored pass=false)" in out
+    wrapped = {"reports": [_REPORT, _REPORT], "pass": False}
+    assert run_report(tmp_path, capsys, wrapped)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{name: None} for name in _REPORT]
+    + [{"samples": "4"}, {"seed": 0.0}, {"tol": True}, {"pass": 1}, {"suite": 3}],
+)
+def test_report_with_missing_or_ill_typed_field_is_usage_error(tmp_path, capsys, change):
+    doc = {k: v for k, v in {**_REPORT, **change}.items() if v is not None}
+    for shape in (doc, {"reports": [_REPORT, doc], "pass": True}):
+        code, out, err = run_report(tmp_path, capsys, shape, "text")
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and "missing or has the wrong type" in err
+
+
+@pytest.mark.parametrize("reports", [{}, None, _REPORT])
+def test_report_without_a_list_of_reports_is_usage_error(tmp_path, capsys, reports):
+    code, out, _ = run_report(tmp_path, capsys, {"reports": reports, "pass": True})
+    assert code == 2 and out == ""
+
+
+def test_report_with_an_empty_list_of_reports_fails(tmp_path, capsys):
+    assert run_report(tmp_path, capsys, {"reports": [], "pass": True})[0] == 1
+
+
+def test_report_reads_a_piped_verify_document(capsys, monkeypatch):
+    bd = enumerate_structures(3)[2]
+    monkeypatch.setattr("sys.stdin", io.StringIO(structure_to_json(bd)))
+    code, verified, _ = run(
+        capsys, "verify", "--suite", "all", "--stdin", "--samples", "2", "--tol", "1e-5"
+    )
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(verified))
+    code, out, _ = run(capsys, "report", "--stdin", "--format", "text")
+    lines = out.splitlines()
+    reports = json.loads(verified)["reports"]
+    assert code == 0 and len(lines) == len(reports) == 10
+    for line, r in zip(lines, reports):
+        assert line.startswith(f"suite={r['suite']} seed=0 samples=2 ") and line.endswith(" pass")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--kind", "trig", "--u", "inf"),
+        ("eval", "--kind", "rational", "--c", "nan"),
+        ("eval", "--kind", "rational", "--u", "1,-inf"),
+        ("eval", "--kind", "rational", "--v", "1e400"),
+        ("verify", "--suite", "aybe", "--tol", "nan"),
+        ("verify", "--suite", "aybe", "--tol", "inf"),
+        ("verify", "--suite", "aybe", "--tol", "0"),
+        ("verify", "--suite", "aybe", "--tol=-1e-8"),
+        ("verify", "--suite", "aybe", "--u-fixed", "nan"),
+        ("oracle-compare", "--tol", "nan"),
+    ],
+)
+def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "in.json"
+    matrix = argv[0] == "oracle-compare"
+    path.write_text(
+        tau_free_matrix(2, 3).to_json() if matrix else structure_to_json(enumerate_structures(2)[1])
+    )
+    code, out, err = run(capsys, *argv, "--matrix" if matrix else "--structure", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
 
 
 def test_output_file_and_text_format(tmp_path, capsys):

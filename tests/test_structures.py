@@ -113,6 +113,16 @@ def test_tau_iterates_enumerate_every_tau_domain():
             assert list(bd._tau_iterates) == expected
 
 
+def test_tau_domain_is_where_tau_is_defined():
+    # tau_domain and depth are read off the iterates, so check them against tau's own walk
+    for n in range(1, 6):
+        for bd in enumerate_structures(n):
+            for k in range(1, bd.depth + 2):
+                defined = frozenset(a for a in bd.p1 if bd.tau(a, k) is not None)
+                assert bd.tau_domain(k) == defined
+                assert bool(defined) == (k <= bd.depth)
+
+
 def test_opposite_and_inverse_are_involutions(corpus_n3):
     for bd in corpus_n3:
         assert bd.opposite().opposite() == bd
