@@ -15,7 +15,9 @@ complete order and partial pair bijection, the derived combinatorial
 structure, the three-variable tensor assembled from the matrix data, and
 the evaluate-after-residue-inversion map two ways: read off that tensor
 (the closed form) and by solving the gluing system directly (the
-independent oracle).
+independent oracle).  Each shift-orbit block of the gluing system is one
+cycle of equations, so the oracle solves it by substitution along that
+cycle and ``hom_dim`` counts its free runs; neither needs linear algebra.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "sequence_from_structure",
     "realizable",
     "hom_dim",
-    "gluing_sigma_min",
     "MasseyMap",
     "massey_closed",
     "massey_oracle",
@@ -342,93 +343,60 @@ def tau_free_matrix(N: int, n: int) -> SplittingMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_blocks(m: SplittingMatrix, x, y=None):
-    """The gluing system over one period, split into its N shift-orbit blocks.
+#: how near 0 |x^N - 1|, |x|, |y|, |y'| and |y - y'| may come before the point
+#: counts as a pole of the Massey map (and x as an N-th root of unity)
+POLE_MARGIN = 1e-12
+
+
+def _gluing_cycle(m: SplittingMatrix, delta: int) -> list[tuple[int, int, int]]:
+    """Block delta of the gluing system as one cycle of its N*n entries.
 
     Entry (i, i', j) is glued to (i, i', j - 1), and at j = 0 to
     (i + k, i' + k, n - 1) with the factor x, so no equation leaves the
-    difference class delta = i' - i mod N.  Block delta (the leading axis)
-    holds the pairs (i, i + delta) for i = 0..N-1 (0-based rows), and its
-    equation i*n + j reads
+    difference class delta = i' - i mod N.  Position t*n + j holds the
+    entry (i_t, i_t + delta, j) with i_t = -t*k mod N (0-based rows), so
+    each equation
 
-        value at 0 of (i, i + delta, j) = f * value at infinity of its predecessor,
+        value at 0 of position p = f * value at infinity of position p - 1
 
-    with f = x at j = 0 and 1 otherwise.  An entry of degree d has
-    max(d + 1, 0) coefficient unknowns, numbered consecutively in equation
-    order within its block; the first is its value at 0 and the last its
-    value at infinity.  Blocks with fewer unknowns than the largest are
-    padded with zero columns; for a simple matrix there are none, since
-    row sums cancel over an orbit and leave every block N*n unknowns.
-
-    With ``y`` given, column 0 is twisted by the point y for the residue
-    problem: an entry of degree -1 there has no unknowns and values -b at 0
-    and y*b at infinity, one of degree 0 exceeds its value at 0 by b at
-    infinity, where b is the residue of its pair.  ``rhs`` then has one
-    column per residue of the block, in pair order; otherwise it is None.
-
-    Returns (deg, first, last, a, rhs): degrees (N, N, n), the unknown index
-    of each entry's value at 0 and at infinity (-1 when it has none), the
-    stacked coefficient blocks and the right-hand sides.
+    links an entry to the one just before it, cyclically, with f = x on
+    column 0 (positions divisible by n) and 1 elsewhere.  Returns
+    (i, i', d) per position, d = m^j_i - m^j_{i'} the entry's degree.
     """
     N, n, k = m.n_rows, m.n_cols, m.shift
-    rows = np.array(m.rows)
-    i = np.arange(N)
-    deg = rows - rows[(i[:, None] + i) % N]  # deg[delta, i, j] = m^j_i - m^j_{i + delta}
-    cnt = np.maximum(deg + 1, 0).reshape(N, N * n)
-    first = np.cumsum(cnt, axis=1) - cnt
-    last = first + cnt - 1
-    first[cnt == 0] = last[cnt == 0] = -1
-    first, last = first.reshape(N, N, n), last.reshape(N, N, n)
-
-    def behind(v):
-        """``v`` at each equation's predecessor entry."""
-        return np.concatenate([v[:, (i + k) % N, -1:], v[:, :, :-1]], axis=2)
-
-    factor = np.broadcast_to(np.array([x] + [1.0] * (n - 1), dtype=complex), deg.shape)
-    block = np.broadcast_to(i[:, None, None], deg.shape)
-    eq = np.broadcast_to(np.arange(N * n).reshape(N, n), deg.shape)
-    a = np.zeros((N, N * n, cnt.sum(axis=1).max()), dtype=complex)
-    for unknown, coef in ((first, 1.0), (behind(last), -factor)):
-        on = unknown >= 0
-        a[block[on], eq[on], unknown[on]] += np.broadcast_to(coef, deg.shape)[on]
-    if y is None:
-        return deg, first, last, a, None
-    at_infinity = np.zeros(deg.shape, dtype=complex)
-    at_infinity[..., 0] = np.where(deg[..., 0] == -1, y, (deg[..., 0] == 0).astype(float))
-    residue = np.broadcast_to(i[None, :, None], deg.shape)
-    rhs = np.zeros((N, N * n, N), dtype=complex)
-    rhs[block, eq, behind(residue)] += factor * behind(at_infinity)
-    rhs[block[..., 0], eq[..., 0], residue[..., 0]] += deg[..., 0] == -1
-    return deg, first, last, a, rhs
-
-
-def _sigma_min(a: np.ndarray) -> float:
-    """Smallest singular value of a block-diagonal system given as its stacked blocks."""
-    return float(np.linalg.svd(a, compute_uv=False)[:, -1].min())
-
-
-def gluing_sigma_min(m: SplittingMatrix, x) -> float:
-    """Smallest singular value of the gluing system at x.
-
-    The system's coefficients do not depend on the twist, so this is the
-    value ``massey_oracle`` compares with its ``sv_floor`` at any y, y'.
-    It is the minimum over the shift-orbit blocks, since permuting rows and
-    columns into blocks leaves the singular values unchanged.
-    """
-    return _sigma_min(_orbit_blocks(m, complex(x))[3])
+    return [
+        (i, (i + delta) % N, m.rows[i][j] - m.rows[(i + delta) % N][j])
+        for i in (-t * k % N for t in range(N))
+        for j in range(n)
+    ]
 
 
 def hom_dim(m: SplittingMatrix, x) -> int:
     """Dimension of the solution space of the untwisted gluing system.
 
-    Sections of O(d) contribute max(d + 1, 0) coefficient unknowns whose
-    first and last entries are the values at 0 and infinity; the wrap
-    equation carries the factor x and the row shift.  The system splits
-    into one block per shift orbit of row pairs, so the rank is the sum of
-    the blocks' ranks.  Works for any matrix, simple or not.
+    A section of O(d) has max(d + 1, 0) coefficients: its values at 0 and
+    infinity, which are equal for d = 0 and are 0 for d < 0, and d - 1
+    interior ones that no equation reads.  The entries of nonzero degree
+    ("cuts") split each block's cycle into runs of degree-0 entries; the
+    equations along a run have nonzero factors, so one value fixes the
+    whole run.  A run is free (one dimension) exactly when neither end cut
+    pins it to 0, that is when both have degree >= 1.  A cut-free cycle
+    closes on itself with the factor x^N and is free when |x^N - 1| <=
+    ``POLE_MARGIN``.  Works for any matrix, simple or not; x = 0 is refused.
     """
-    deg, _, _, a, _ = _orbit_blocks(m, complex(x))
-    return int(np.maximum(deg + 1, 0).sum() - np.linalg.matrix_rank(a).sum())
+    x = complex(x)
+    if x == 0:
+        raise ValueError("the gluing system is degenerate at x = 0")
+    dim = 0
+    for delta in range(m.n_rows):
+        degrees = [d for _, _, d in _gluing_cycle(m, delta)]
+        cuts = [d for d in degrees if d]
+        dim += sum(max(d - 1, 0) for d in degrees)
+        if cuts:
+            dim += sum(a >= 1 and b >= 1 for a, b in zip(cuts, cuts[1:] + cuts[:1]))
+        else:
+            dim += abs(x ** m.n_rows - 1.0) <= POLE_MARGIN
+    return dim
 
 
 @dataclass(frozen=True)
@@ -450,10 +418,10 @@ class MasseyMap:
         return float(np.abs(self.matrix - other.matrix).max())
 
 
-def _check_massey_args(m, x, y, yp, margin=0.0):
+def _check_massey_args(m, x, y, yp):
     N = m.n_rows
     x, y, yp = complex(x), complex(y), complex(yp)
-    if min(abs(x ** N - 1.0), abs(y - yp), abs(x), abs(y), abs(yp)) <= margin:
+    if min(abs(x ** N - 1.0), abs(y - yp), abs(x), abs(y), abs(yp)) <= POLE_MARGIN:
         raise PoleError(f"massey map evaluated at a pole: x={x}, y={y}, y'={yp}")
     return x, y, yp
 
@@ -470,40 +438,61 @@ def massey_closed(m: SplittingMatrix, x, y, yp) -> MasseyMap:
     return MasseyMap(N, c.transpose(2, 3, 1, 0).reshape(N * N, N * N))
 
 
-def massey_oracle(m: SplittingMatrix, x, y, yp, sv_floor: float = 1e-8) -> MasseyMap:
+def massey_oracle(m: SplittingMatrix, x, y, yp) -> MasseyMap:
     """Evaluate-after-residue-inversion map by solving the gluing system.
 
-    Unknowns are the section parameters of every entry over one period:
-    nothing for degree -1 (the section is forced by the residue), the
-    value at 0 for degree 0 (the value at infinity exceeds it by the
-    residue on the twisted column), and the two endpoint values for
-    degree 1.  The period equations with the x-twisted, row-shifted wrap
-    only couple row pairs (i, i') with the same difference i' - i mod N, so
-    the system is solved one shift-orbit block at a time: each block is
-    square (row sums cancel over an orbit, leaving N*n unknowns) and is
-    solved for the N matrix-unit residues of its own pairs.  The twisted
-    column is then evaluated at y'.  ``PoleError`` is raised when the
-    smallest singular value over all blocks, which is that of the whole
-    system, is at most ``sv_floor``.  Entirely independent of the closed
-    form.
+    Column 0 is twisted by the point y: an entry of degree -1 there has
+    values -b at 0 and y*b at infinity, and one of degree 0 exceeds its
+    value at 0 by b at infinity, where b is the residue of its pair.  Each
+    shift-orbit block is one cycle of equations (``_gluing_cycle``), solved
+    by substitution for each residue of the block in turn.  On a simple
+    matrix the nonzero degrees alternate +1/-1 around every delta != 0
+    cycle, so a residue entering at a degree-0 entry runs back to the
+    degree-1 cut behind it when the next cut is -1 and forward to the next
+    cut (of degree 1) otherwise, and one entering at a degree -1 entry runs
+    both ways; the delta = 0 cycle has no cuts and closes with 1/(1 - x^N).
+    Each column-0 entry on a walk gets the monomial c * x**e, e the number
+    of factors x crossed (negative going back), and its section is then
+    evaluated at y'.  So the system is singular only at x = 0 and x^N = 1,
+    which ``_check_massey_args`` refuses.  Independent of the closed form.
     """
     _require_simple(m)
-    N = m.n_rows
-    x, y, yp = _check_massey_args(m, x, y, yp, margin=1e-12)
-    deg, first, last, a, rhs = _orbit_blocks(m, x, y)
-    sv = _sigma_min(a)
-    if sv <= sv_floor:
-        raise PoleError(f"gluing system is singular at x={x} (sigma_min={sv:.2e})")
-    w = np.linalg.solve(a, rhs)  # unknown values per residue of the block
-
-    # row (delta, i) maps the block's residues to a_{i, i + delta}(y') on column 0
-    d0, i = deg[..., 0], np.arange(N)
-    t = np.where((d0 >= 0)[..., None], w[i[:, None], first[..., 0]], 0.0)
-    t += np.where((d0 == 1)[..., None], yp * w[i[:, None], last[..., 0]], 0.0)
-    t[:, i, i] += np.where(d0 == -1, y, yp) / (yp - y)
-    pair = i * N + (i[:, None] + i) % N  # flattened (i, i + delta) for each block
+    N, n = m.n_rows, m.n_cols
+    x, y, yp = _check_massey_args(m, x, y, yp)
     T = np.zeros((N * N, N * N), dtype=complex)
-    T[pair[:, :, None], pair[:, None, :]] = t
+    for delta in range(N):
+        cycle = _gluing_cycle(m, delta)
+        size = len(cycle)
+        # a cycle without cuts returns to each entry with the factor x^N
+        closure = 1.0 if any(d for _, _, d in cycle) else 1.0 / (1.0 - x ** N)
+
+        def cut(p, step):
+            """The first position after p, going ``step`` at a time, whose entry has
+            nonzero degree; p one cycle on when there is none."""
+            later = range(p + step, p + step * size, step)
+            return next((q for q in later if cycle[q % size][2]), p + step * size)
+
+        def put(q, b, c, from_ahead=False):
+            """Add c times residue b to the column-0 entry at q, as its value at 0, or at
+            infinity when reached from ahead (a0 + a1*z has value a0 + a1*y' at y')."""
+            i, ip, d = cycle[q % size]
+            T[i * N + ip, b] += yp * c if from_ahead and d == 1 else c
+
+        for p in range(0, size, n):
+            i, ip, d = cycle[p]
+            b = i * N + ip
+            T[b, b] += (y if d == -1 else yp) / (yp - y)
+            if d == 1:
+                continue  # untwisted: the residue enters through the pole term alone
+            ahead = cut(p, 1)
+            next_degree = cycle[ahead % size][2]
+            if d == -1 or next_degree != -1:
+                c = (y if d == -1 else 1.0) * closure
+                for q in range(p + n, ahead + 1, n):
+                    put(q, b, c * x ** ((q - p) // n))
+            if d == -1 or next_degree == -1:
+                for q in range(p - n if d else p, cut(p, -1) - 1, -n):
+                    put(q, b, -(x ** ((q - p) // n)), from_ahead=True)
     return MasseyMap(N, T)
 
 
@@ -516,7 +505,7 @@ def massey_tensor(m: SplittingMatrix, x, y, yp) -> Tensor2:
     """The three-variable tensor assembled directly from the matrix data."""
     _require_simple(m)
     N, k = m.n_rows, m.shift
-    x, y, yp = _check_massey_args(m, x, y, yp, margin=1e-12)
+    x, y, yp = _check_massey_args(m, x, y, yp)
     c = np.zeros((N, N, N, N), dtype=complex)
     z = y / yp
     w = z / (1.0 - z)

@@ -135,6 +135,7 @@ def _cmd_enumerate(args) -> int:
 _EVAL_KINDS = ("trig", "quantum", "classical", "multiplicative", "rational")
 
 
+@np.errstate(all="ignore")  # an overflow is reported below, by the value it spoils
 def _cmd_eval(args) -> int:
     kind = args.kind
     # every point option is parsed, so a malformed one is an error whatever the kind
@@ -154,6 +155,9 @@ def _cmd_eval(args) -> int:
             t = solutions.multiplicative_r(_as_ordered(obj))(x, y, yp)
         else:
             raise CliError(f"unknown eval kind {kind!r}")
+    bad = t.coeffs[~np.isfinite(t.coeffs)]
+    if bad.size:
+        raise CliError(f"{kind} value overflows: {bad.size} coefficients are not finite, one is {bad[0]}")
     _emit(args, json.dumps(_tensor_doc(t), sort_keys=True))
     return 0
 
@@ -301,12 +305,17 @@ def _cmd_report(args) -> int:
     _require_fields(doc, {})  # a JSON object, of either shape
     if "reports" in doc:  # verify's document
         _require_fields(doc, {"reports": (list,), "pass": (bool,)})
-    checked = [_check_report(r) for r in doc.get("reports", [doc])]
+    reports = doc.get("reports", [doc])
+    checked = [_check_report(r) for r in reports]
     # a stored overall pass that disagrees with its reports fails too, as does an empty list
     passed = bool(checked) and all(ok for _, ok in checked) and doc["pass"]
     if args.format == "text":
         _emit(args, "\n".join(line for line, _ in checked))
     else:
+        # the verdicts derived here, so that the document agrees with the exit code
+        for report, (_, ok) in zip(reports, checked):
+            report["pass"] = ok
+        doc["pass"] = passed
         _emit(args, json.dumps(doc, sort_keys=True))
     return 0 if passed else 1
 

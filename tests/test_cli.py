@@ -313,6 +313,16 @@ def test_eval_at_pole_is_error(tmp_path, capsys):
     assert code == 2 and "error" in json.loads(err)
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is reported as the error, not warned about
+def test_eval_non_finite_value_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bd.json"
+    path.write_text(json.dumps({"c": [2, 3, 1], "c0": [2, 3, 1], "gamma1": [[1, 2], [3, 1]], "n": 3}))
+    assert run(capsys, "eval", "--kind", "trig", "--structure", str(path))[0] == 0
+    code, out, err = run(capsys, "eval", "--kind", "trig", "--structure", str(path), "--u", "2000")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "not finite" in json.loads(err)["error"]
+
+
 def test_bundle_check(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(tau_free_matrix(2, 3).to_json())
@@ -413,6 +423,21 @@ def run_report(tmp_path, capsys, doc, fmt="json"):
 def test_report_rederives_a_failing_verdict(tmp_path, capsys, change):
     code, out, _ = run_report(tmp_path, capsys, {**_REPORT, **change}, "text")
     assert code == 1 and "FAIL (stored pass=true)" in out
+
+
+def test_report_json_prints_the_derived_verdict(tmp_path, capsys):
+    code, out, _ = run_report(tmp_path, capsys, {**_REPORT, "max_residual": float("nan")})
+    assert code == 1 and json.loads(out)["pass"] is False
+
+
+def test_report_json_prints_each_derived_verdict_of_a_verify_document(tmp_path, capsys):
+    bad = {**_REPORT, "max_residual": float("nan")}
+    code, out, _ = run_report(tmp_path, capsys, {"reports": [_REPORT, bad], "pass": True})
+    doc = json.loads(out)
+    assert code == 1 and doc["pass"] is False
+    assert [r["pass"] for r in doc["reports"]] == [True, False]
+    code, out, _ = run_report(tmp_path, capsys, {"reports": [_REPORT], "pass": True})
+    assert code == 0 and json.loads(out) == {"reports": [_REPORT], "pass": True}
 
 
 def test_report_fails_a_stored_fail_with_passing_numbers(tmp_path, capsys):
