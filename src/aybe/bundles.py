@@ -223,10 +223,7 @@ def bd_from_matrix(m: SplittingMatrix) -> OrderedBDStructure:
     """
     N = m.n_rows
     order = star_order(m)
-    c0_images = [0] * N
-    for idx, s in enumerate(order):
-        c0_images[s - 1] = order[(idx + 1) % N]
-    c0 = CyclicPermutation(c0_images)
+    c0 = CyclicPermutation.from_order(order)
     c = CyclicPermutation([m.wrap(i - m.shift) for i in range(1, N + 1)])
     p1_matrix = frozenset(
         (i, ip)

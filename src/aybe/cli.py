@@ -53,7 +53,15 @@ def _checked(cast, ok, what: str):
 
 _count = _checked(int, lambda v: v >= 1, "at least 1")  # a sample or trial count
 _n_max = _checked(int, lambda v: 1 <= v <= 5, "between 1 and 5")  # largest enumerated set size
+#: largest N that eval builds a family for: its N^4 complex coefficients take 16 MiB
+_EVAL_N_MAX = 32
+_eval_n = _checked(int, lambda v: 1 <= v <= _EVAL_N_MAX, f"between 1 and {_EVAL_N_MAX}")
 _tol = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and above 0")
+
+
+def _finite_or_null(value):
+    """``value`` if it is a finite number, else None (JSON null): strict JSON has no NaN."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 def _complex_pairs(array: np.ndarray):
@@ -78,18 +86,12 @@ def _read_source(args, attr: str, what: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_structure(args):
+def _load(args, what: str, parse):
+    """``parse`` of the JSON document named by ``--what`` (or read from stdin)."""
     try:
-        return structures.structure_from_json(_read_source(args, "structure", "structure"))
+        return parse(_read_source(args, what, what))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CliError(f"malformed structure JSON: {exc}") from exc
-
-
-def _load_matrix(args) -> bundles.SplittingMatrix:
-    try:
-        return bundles.SplittingMatrix.from_json(_read_source(args, "matrix", "matrix"))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CliError(f"malformed matrix JSON: {exc}") from exc
+        raise CliError(f"malformed {what} JSON: {exc}") from exc
 
 
 def _emit(args, text: str) -> None:
@@ -143,18 +145,18 @@ def _cmd_eval(args) -> int:
     if kind == "rational":
         t = solutions.rational_R(args.n, c)(u, v)
     else:
-        obj = _load_structure(args)
+        obj = _load(args, "structure", structures.structure_from_json)
         bd = obj.bd if isinstance(obj, OrderedBDStructure) else obj
+        if bd.n > _EVAL_N_MAX:
+            raise CliError(f"eval builds families up to N = {_EVAL_N_MAX}, not N = {bd.n}")
         if kind == "trig":
             t = solutions.trigonometric_r(bd)(u, v)
         elif kind == "quantum":
             t = solutions.quantum_R(bd)(u, v)
         elif kind == "classical":
             t = solutions.classical_r0(bd)(v)
-        elif kind == "multiplicative":
+        else:  # argparse's choices leave only "multiplicative"
             t = solutions.multiplicative_r(_as_ordered(obj))(x, y, yp)
-        else:
-            raise CliError(f"unknown eval kind {kind!r}")
     bad = t.coeffs[~np.isfinite(t.coeffs)]
     if bad.size:
         raise CliError(f"{kind} value overflows: {bad.size} coefficients are not finite, one is {bad[0]}")
@@ -193,31 +195,32 @@ def _cmd_verify(args) -> int:
         )
 
     if args.structure or args.stdin:
-        ordered = [_as_ordered(_load_structure(args))]
+        ordered = [_as_ordered(_load(args, "structure", structures.structure_from_json))]
     else:
         ordered = [
             _as_ordered(bd)
             for n in range(1, args.n_max + 1)
             for bd in structures.enumerate_structures(n)
         ]
-    reports = [json.loads(runners[name](obd).to_json()) for obd in ordered for name in names]
+    reports = [runners[name](obd) for obd in ordered for name in names]
 
-    doc = {"reports": reports, "pass": all(r["pass"] for r in reports)}
+    passed = all(r.passed for r in reports)
     if args.format == "text":
         lines = [
-            f"{r['suite']}: max_residual={r['max_residual']:.3e} tol={r['tol']:g} "
-            + ("pass" if r["pass"] else "FAIL")
+            f"{r.suite}: max_residual={r.max_residual:.3e} tol={r.tol:g} "
+            + ("pass" if r.passed else "FAIL")
             for r in reports
         ]
-        lines.append("ALL PASS" if doc["pass"] else "FAILURES PRESENT")
+        lines.append("ALL PASS" if passed else "FAILURES PRESENT")
         _emit(args, "\n".join(lines))
     else:
+        doc = {"reports": [json.loads(r.to_json()) for r in reports], "pass": passed}
         _emit(args, json.dumps(doc, sort_keys=True))
-    return 0 if doc["pass"] else 1
+    return 0 if passed else 1
 
 
 def _cmd_bundle_check(args) -> int:
-    m = _load_matrix(args)
+    m = _load(args, "matrix", bundles.SplittingMatrix.from_json)
     flag, witness = bundles.is_simple(m)
     doc = {
         "simple": flag,
@@ -232,7 +235,7 @@ def _cmd_bundle_check(args) -> int:
 
 
 def _cmd_bundle_bd(args) -> int:
-    m = _load_matrix(args)
+    m = _load(args, "matrix", bundles.SplittingMatrix.from_json)
     obd = bundles.bd_from_matrix(m)
     doc = json.loads(structures.structure_to_json(obd))
     doc["order"] = list(bundles.star_order(m))
@@ -242,7 +245,7 @@ def _cmd_bundle_bd(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    m = _load_matrix(args)
+    m = _load(args, "matrix", bundles.SplittingMatrix.from_json)
     plan = verify.SamplePlan(seed=args.seed, count=args.trials)
     guards = solutions.multiplicative_guards(m.n_rows)
     triples = plan.draw(3, lambda z: min(g.distance(*z) for g in guards) >= plan.guard_margin)
@@ -254,7 +257,7 @@ def _cmd_oracle_compare(args) -> int:
     doc = {
         "trials": len(devs),
         "seed": args.seed,
-        "max_deviation": worst,
+        "max_deviation": _finite_or_null(worst),
         "tol": args.tol,
         "pass": worst <= args.tol,
     }
@@ -262,13 +265,13 @@ def _cmd_oracle_compare(args) -> int:
     return 0 if doc["pass"] else 1
 
 
-#: JSON types of the fields of one stored report
+#: JSON types of the fields of one stored report; null stands for a non-finite number
 _REPORT_FIELDS = {
     "suite": (str,),
     "seed": (int,),
     "samples": (int,),
-    "max_residual": (int, float),
-    "tol": (int, float),
+    "max_residual": (int, float, type(None)),
+    "tol": (int, float, type(None)),
     "pass": (bool,),
 }
 
@@ -277,7 +280,7 @@ def _require_fields(doc, fields) -> None:
     if not isinstance(doc, dict):
         raise CliError("report must be a JSON object")
     for name, types in fields.items():
-        if type(doc.get(name)) not in types:  # type(), not isinstance: True is not an int here
+        if name not in doc or type(doc[name]) not in types:  # type(): True is not an int here
             raise CliError(f"report field {name!r} is missing or has the wrong type")
 
 
@@ -286,13 +289,13 @@ def _check_report(doc) -> tuple[str, bool]:
     is derived again as at least one sample and a finite max_residual at most
     a finite tol, and a stored ``pass`` that disagrees fails it."""
     _require_fields(doc, _REPORT_FIELDS)
-    res, tol = doc["max_residual"], doc["tol"]
-    ok = doc["samples"] >= 1 and math.isfinite(res) and math.isfinite(tol) and res <= tol
+    res, tol = (_finite_or_null(doc[name]) for name in ("max_residual", "tol"))
+    ok = doc["samples"] >= 1 and None not in (res, tol) and res <= tol
     verdict = "pass" if ok else "FAIL"
     if doc["pass"] != ok:
         verdict = f"FAIL (stored pass={json.dumps(doc['pass'])})"
     shown = ("suite", "seed", "samples", "max_residual", "tol")
-    line = " ".join(f"{name}={doc[name]}" for name in shown)
+    line = " ".join(f"{name}={'null' if doc[name] is None else doc[name]}" for name in shown)
     return f"{line} {verdict}", ok and doc["pass"]
 
 
@@ -315,6 +318,8 @@ def _cmd_report(args) -> int:
         # the verdicts derived here, so that the document agrees with the exit code
         for report, (_, ok) in zip(reports, checked):
             report["pass"] = ok
+            for name in ("max_residual", "tol"):
+                report[name] = _finite_or_null(report[name])
         doc["pass"] = passed
         _emit(args, json.dumps(doc, sort_keys=True))
     return 0 if passed else 1
@@ -358,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", default="1.3,0.4")
     sp.add_argument("--y", default="0.8,-0.3")
     sp.add_argument("--yp", default="-1.1,0.6")
-    sp.add_argument("--n", type=int, default=2, help="matrix size for the rational family")
+    sp.add_argument("--n", type=_eval_n, default=2, help="matrix size for the rational family")
     sp.add_argument("--c", default="1", help="constant c of the rational family, RE or RE,IM")
     common(sp, "stdin", "structure")
     sp.set_defaults(fn=_cmd_eval)
@@ -403,6 +408,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (CliError, InvalidStructure, solutions.PoleError, ValueError, verify.SamplerExhausted) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return _USAGE_ERROR
+    except MemoryError as exc:  # an operand too large for this machine is an input error too
+        print(json.dumps({"error": f"out of memory: {exc}"}), file=sys.stderr)
         return _USAGE_ERROR
     except bundles.CrossCheckFailed as exc:  # the input was fine; two derivations disagree
         print(json.dumps({"error": f"cross-check failed: {exc}"}), file=sys.stderr)

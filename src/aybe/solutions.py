@@ -267,11 +267,6 @@ def quantum_R(bd: BDStructure) -> RFun:
 # ---------------------------------------------------------------------------
 
 
-def _require_alpha0_outside_gamma2(obd: OrderedBDStructure) -> None:
-    if obd.alpha0 in obd.bd.gamma2:
-        raise ValueError("the marked edge alpha0 must avoid Gamma2 for this family")
-
-
 class _AbcTable(NamedTuple):
     """One row per term of a(x), b(x) and c(x), sorted by part (0, 1, 2 for
     a, b, c): the term adds sign * x^e, times q = 1/(1 - x^N) where geo is
@@ -295,7 +290,8 @@ class _AbcTable(NamedTuple):
 # residual_abc asks for the parts of one structure at four points per sample
 @functools.lru_cache(maxsize=256)
 def _abc_table(obd: OrderedBDStructure) -> _AbcTable:
-    _require_alpha0_outside_gamma2(obd)
+    if obd.alpha0 in obd.bd.gamma2:
+        raise ValueError("the marked edge alpha0 must avoid Gamma2 for this family")
     bd, n = obd.bd, obd.n
     labels = range(1, n + 1)
     # (part, (p, q, r, s), sign, exponent, geometric): the diagonal geometric

@@ -5,6 +5,11 @@ C0, C of S and proper subsets Gamma1, Gamma2 of the graph of C0 with
 (C x C)(Gamma1) = Gamma2.  The partial bijection tau induced by C x C on
 the chain-closed pair sets P1 -> P2 drives all the r-matrix formulas.
 
+These axioms make tau nilpotent, so that is never checked: every orbit of
+C x C has exactly N members, since C is a transitive N-cycle.  One that
+stayed in Gamma1 would fill the graph, and a chain stays in P1 only while
+its first edge stays in Gamma1, so tau^k is empty for k > |Gamma1|.
+
 Pairs are ordered integer pairs of 1-based labels; sets of pairs are kept
 sorted for deterministic iteration and hashing.
 """
@@ -72,6 +77,14 @@ class CyclicPermutation:
         """The cycle i -> i + 1 (mod n)."""
         return cls(tuple(i % n + 1 for i in range(1, n + 1)))
 
+    @classmethod
+    def from_order(cls, order) -> "CyclicPermutation":
+        """The cycle order[0] -> order[1] -> ... -> order[-1] -> order[0]."""
+        images = [0] * len(order)
+        for s, t in zip(order, order[1:] + order[:1]):
+            images[s - 1] = t
+        return cls(images)
+
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
@@ -114,11 +127,14 @@ class BDStructure:
 
     Validation is performed on construction; instances are immutable and
     always valid.  Raises InvalidStructure with a named violation otherwise.
+    Only the axioms that can fail are checked.  Gamma2 is proper because
+    |Gamma2| = |Gamma1| < N, and tau is nilpotent by the orbit argument of
+    the module docstring: every orbit of C x C has N members.
     """
 
-    __slots__ = ("n", "c0", "c", "gamma1", "gamma2", "p1", "p2", "_tau_iterates")
+    __slots__ = ("n", "c0", "c", "graph", "gamma1", "gamma2", "p1", "p2", "_tau_iterates")
 
-    def __init__(self, c0: CyclicPermutation, c: CyclicPermutation, gamma1, gamma2=None) -> None:
+    def __init__(self, c0: CyclicPermutation, c: CyclicPermutation, gamma1) -> None:
         if c0.n != c.n:
             raise InvalidStructure("C0 and C act on sets of different sizes")
         n = c0.n
@@ -128,39 +144,19 @@ class BDStructure:
             raise InvalidStructure("improper subset: Gamma1 is not contained in the graph of C0")
         if gamma1 == graph:
             raise InvalidStructure("improper subset: Gamma1 must be a proper subset")
-        image = frozenset(_apply_cxc(c, a) for a in gamma1)
-        if gamma2 is None:
-            gamma2 = image
-        else:
-            gamma2 = frozenset((as_int(i), as_int(j)) for i, j in gamma2)
-            if gamma2 != image:
-                raise InvalidStructure("image mismatch: (C x C)(Gamma1) != Gamma2")
+        gamma2 = frozenset(_apply_cxc(c, a) for a in gamma1)
         if not gamma2 <= graph:
             raise InvalidStructure("improper subset: (C x C)(Gamma1) leaves the graph of C0")
-        if gamma2 == graph:
-            raise InvalidStructure("improper subset: Gamma2 must be a proper subset")
 
         self.n = n
         self.c0 = c0
         self.c = c
+        self.graph = graph
         self.gamma1 = gamma1
         self.gamma2 = gamma2
-
-        # nilpotency: every Gamma1 edge leaves Gamma1 under some (C x C)^k
-        cap = max(1, n * len(gamma1))
-        for alpha in gamma1:
-            beta, ok = alpha, False
-            for _ in range(cap):
-                beta = _apply_cxc(c, beta)
-                if beta not in gamma1:
-                    ok = True
-                    break
-            if not ok:
-                raise InvalidStructure("nilpotency failure on Gamma1 edge %s" % (alpha,))
-
         self.p1 = self._chain_closure(gamma1)
         self.p2 = self._chain_closure(gamma2)
-        self._tau_iterates = self._walk_tau(cap)
+        self._tau_iterates = self._walk_tau()
 
     def _chain_closure(self, edges: frozenset) -> frozenset:
         """Pairs (s, C0^k(s)) whose every intermediate C0-edge lies in ``edges``."""
@@ -170,19 +166,15 @@ class BDStructure:
             while (t, self.c0(t)) in edges:
                 t = self.c0(t)
                 out.add((s, t))
-                if t == s:
-                    break
         return frozenset(out)
 
-    def _walk_tau(self, cap: int) -> tuple:
+    def _walk_tau(self) -> tuple:
         """The one enumeration of the triples (k, alpha, tau^k alpha), k
         ascending and alpha sorted, that every tau sum of the solution
         families and every domain of tau^k read."""
         depth, iterates = 0, []
         images = {a: a for a in self.p1}  # alpha -> tau^(k-1) alpha on the domain of tau^k
         while images:
-            if depth >= cap:
-                raise InvalidStructure("nilpotency failure: tau depth exceeds N * |Gamma1|")
             depth += 1
             images = {a: _apply_cxc(self.c, b) for a, b in images.items()}
             iterates += [(depth, a, images[a]) for a in sorted(images)]
@@ -190,13 +182,6 @@ class BDStructure:
         return tuple(iterates)
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def graph(self) -> frozenset:
-        return frozenset((s, self.c0(s)) for s in range(1, self.n + 1))
-
-    def chain_sets(self) -> tuple[frozenset, frozenset]:
-        return self.p1, self.p2
 
     def tau_domain(self, k: int) -> frozenset:
         """Domain of tau^k inside P1 (empty beyond the nilpotency depth)."""
@@ -226,12 +211,11 @@ class BDStructure:
 
     def opposite(self) -> "BDStructure":
         """Reverse the cyclic order: (C0^-1, C, sigma Gamma1, sigma Gamma2)."""
-        flip = lambda edges: frozenset((j, i) for i, j in edges)
-        return BDStructure(self.c0.inverse(), self.c, flip(self.gamma1), flip(self.gamma2))
+        return BDStructure(self.c0.inverse(), self.c, [(j, i) for i, j in self.gamma1])
 
     def inverse(self) -> "BDStructure":
         """Invert the moving cycle: (C0, C^-1, Gamma2, Gamma1)."""
-        return BDStructure(self.c0, self.c.inverse(), self.gamma2, self.gamma1)
+        return BDStructure(self.c0, self.c.inverse(), self.gamma2)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -309,13 +293,8 @@ class OrderedBDStructure:
 
 def _transitive_cycles(n: int):
     """All transitive cyclic permutations of {1..n}, deterministic order."""
-    out = []
-    for rest in itertools.permutations(range(2, n + 1)):
-        order = (1,) + rest
-        images = [0] * n
-        for idx, s in enumerate(order):
-            images[s - 1] = order[(idx + 1) % n]
-        out.append(CyclicPermutation(images))
+    rests = itertools.permutations(range(2, n + 1))
+    out = [CyclicPermutation.from_order((1,) + rest) for rest in rests]
     out.sort(key=lambda c: c.images)
     return out
 
@@ -324,8 +303,8 @@ def enumerate_structures(n: int) -> list[BDStructure]:
     """All valid structures with C0 the standard cycle, 1 <= n <= 5.
 
     C ranges over all transitive cycles, Gamma1 over all proper subsets of
-    the graph of C0 whose image under C x C stays in the graph.  Structures
-    differing only by relabeling are not quotiented out.
+    the graph of C0 whose image under C x C stays in the graph: each is a
+    distinct valid structure.  Relabelings are not quotiented out.
     """
     if not 1 <= n <= 5:
         raise ValueError("enumeration supported for 1 <= n <= 5 only")
@@ -335,32 +314,19 @@ def enumerate_structures(n: int) -> list[BDStructure]:
     for c in _transitive_cycles(n):
         # edges whose image under C x C stays inside the graph of C0
         usable = [a for a in graph if _apply_cxc(c, a) in set(graph)]
-        for size in range(len(usable) + 1):
-            for gamma1 in itertools.combinations(usable, size):
-                if len(gamma1) == n:
-                    continue
-                try:
-                    out.append(BDStructure(c0, c, gamma1))
-                except InvalidStructure:
-                    continue
-    seen, unique = set(), []
-    for bd in out:
-        if bd.key() not in seen:
-            seen.add(bd.key())
-            unique.append(bd)
-    unique.sort(key=BDStructure.key)
-    return unique
-
-
-def enumerate_ordered(n: int, require_alpha0_outside_gamma2: bool = True):
-    """Ordered variants of enumerate_structures, one per admissible alpha0."""
-    out = []
-    for bd in enumerate_structures(n):
-        for alpha0 in sorted(bd.graph):
-            if require_alpha0_outside_gamma2 and alpha0 in bd.gamma2:
-                continue
-            out.append(OrderedBDStructure(bd, alpha0))
+        for size in range(min(len(usable), n - 1) + 1):
+            out += [BDStructure(c0, c, gamma1) for gamma1 in itertools.combinations(usable, size)]
+    out.sort(key=BDStructure.key)
     return out
+
+
+def enumerate_ordered(n: int):
+    """Ordered variants of enumerate_structures, one per alpha0 outside Gamma2."""
+    return [
+        OrderedBDStructure(bd, alpha0)
+        for bd in enumerate_structures(n)
+        for alpha0 in sorted(bd.graph - bd.gamma2)
+    ]
 
 
 def structure_to_json(bd: BDStructure | OrderedBDStructure) -> str:

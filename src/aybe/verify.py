@@ -20,6 +20,7 @@ as a dense N^3 x N^3 operator and applying every further factor with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,7 @@ class Report:
             "suite": self.suite,
             "seed": self.plan.seed,
             "samples": len(self.per_sample),
-            "max_residual": self.max_residual,
+            "max_residual": self.max_residual if math.isfinite(self.max_residual) else None,
             "tol": self.tol,
             "pass": self.passed,
         }
@@ -494,14 +495,13 @@ def residual_symmetry(
 # ---------------------------------------------------------------------------
 
 
-def perturb(r: RFun, delta: float = 0.1, index=None) -> RFun:
+def perturb(r: RFun, delta: float = 0.1) -> RFun:
     """Add ``delta`` to one coefficient of every value; for mutation testing."""
-    idx = index or (0,) * 4
 
     def fn(*args):
         t = r(*args)
         c = t.coeffs.copy()
-        c[idx] += delta
+        c[0, 0, 0, 0] += delta
         return Tensor2(t.n, c)
 
     return RFun(r.n, r.kind + "+perturbed", r.arity, fn, r.guards)

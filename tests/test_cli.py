@@ -13,12 +13,24 @@ import aybe
 from aybe.bundles import matrix_from_sequence, tau_free_matrix
 from aybe.cli import main
 from aybe.solutions import rational_R
-from aybe.structures import enumerate_ordered, enumerate_structures, structure_to_json
+from aybe.structures import (
+    BDStructure,
+    CyclicPermutation,
+    enumerate_ordered,
+    enumerate_structures,
+    structure_to_json,
+)
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not strict JSON (RFC 8259)")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out.startswith(("{", "[")):  # every JSON document printed is strict JSON
+        json.loads(captured.out, parse_constant=_no_constant)
     return code, captured.out, captured.err
 
 
@@ -228,6 +240,26 @@ def test_eval_c_takes_re_im(capsys):
     assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], expected)
 
 
+def test_eval_size_is_bounded(tmp_path, capsys):
+    # N = 33 is one past the bound; its N^4 coefficients would take 19 MB
+    code, out, err = run(capsys, "eval", "--kind", "rational", "--n", "33")
+    assert code == 2 and out == "" and "between 1 and 32" in err
+    path = tmp_path / "bd.json"
+    path.write_text(structure_to_json(BDStructure(*[CyclicPermutation.standard(33)] * 2, [])))
+    code, out, err = run(capsys, "eval", "--kind", "trig", "--structure", str(path))
+    assert code == 2 and out == "" and "N = 33" in json.loads(err)["error"]
+
+
+def test_out_of_memory_is_usage_error(capsys, monkeypatch):
+    def exhausted(n, c):
+        raise MemoryError("Unable to allocate 60.3 GiB")
+
+    monkeypatch.setattr("aybe.solutions.rational_R", exhausted)
+    code, out, err = run(capsys, "eval", "--kind", "rational")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == "out of memory: Unable to allocate 60.3 GiB"
+
+
 def test_eval_malformed_c_is_usage_error(capsys):
     code, out, err = run(capsys, "eval", "--kind", "rational", "--c", "1+2j")
     assert code == 2 and out == ""
@@ -428,6 +460,19 @@ def test_report_rederives_a_failing_verdict(tmp_path, capsys, change):
 def test_report_json_prints_the_derived_verdict(tmp_path, capsys):
     code, out, _ = run_report(tmp_path, capsys, {**_REPORT, "max_residual": float("nan")})
     assert code == 1 and json.loads(out)["pass"] is False
+
+
+def test_report_json_writes_a_non_finite_number_as_null(tmp_path, capsys, monkeypatch):
+    stored = '{"suite": "aybe", "seed": 0, "samples": 3, "max_residual": NaN, "tol": 1e-8, "pass": true}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(stored))
+    code, out, _ = run(capsys, "report", "--stdin")
+    doc = json.loads(out)
+    assert code == 1 and doc["max_residual"] is None and doc["pass"] is False
+    # null reads back as a failing residual, and the finite fields print unchanged
+    code, again, _ = run_report(tmp_path, capsys, doc)
+    assert code == 1 and again == out
+    code, text, _ = run_report(tmp_path, capsys, {**doc, "tol": None}, "text")
+    assert code == 1 and "max_residual=null tol=null FAIL" in text
 
 
 def test_report_json_prints_each_derived_verdict_of_a_verify_document(tmp_path, capsys):

@@ -184,7 +184,7 @@ def test_dropping_marked_edge_keeps_a_part(rng):
     from aybe.structures import enumerate_ordered
 
     tested = 0
-    for obd in enumerate_ordered(4, require_alpha0_outside_gamma2=True):
+    for obd in enumerate_ordered(4):
         bd = obd.bd
         if obd.alpha0 not in bd.gamma1:
             continue

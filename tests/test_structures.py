@@ -30,6 +30,8 @@ def test_cyclic_permutation_basics():
     assert c.inverse().images == (3, 1, 2)
     assert std(4).power_of(std(4)) == 1
     assert CyclicPermutation([3, 4, 2, 1]).power_of(std(4)) is None
+    assert CyclicPermutation.from_order((1, 3, 2)).images == (3, 1, 2)
+    assert CyclicPermutation.from_order(list(range(1, 6))) == std(5)
 
 
 def test_cyclic_permutation_rejects_non_transitive():
@@ -52,11 +54,6 @@ def test_gamma1_must_be_proper():
 def test_gamma1_must_sit_in_graph():
     with pytest.raises(InvalidStructure, match="graph"):
         BDStructure(std(3), std(3), [(1, 3)])
-
-
-def test_gamma2_mismatch_rejected():
-    with pytest.raises(InvalidStructure, match="mismatch"):
-        BDStructure(std(3), std(3), [(1, 2)], gamma2=[(3, 1)])
 
 
 def test_image_must_stay_in_graph():
@@ -124,9 +121,13 @@ def test_tau_domain_is_where_tau_is_defined():
 
 
 def test_opposite_and_inverse_are_involutions(corpus_n3):
+    flip = lambda edges: frozenset((j, i) for i, j in edges)
     for bd in corpus_n3:
         assert bd.opposite().opposite() == bd
         assert bd.inverse().inverse() == bd
+        # the derived Gamma2 of each is the one the paper names
+        assert bd.opposite().gamma2 == flip(bd.gamma2)
+        assert bd.inverse().gamma2 == bd.gamma1
 
 
 def test_opposite_flips_chain_sets(corpus_n3):
@@ -229,9 +230,11 @@ def test_order_closure_properties():
 
 
 def test_depth_is_capped():
+    # tau^k alpha needs the first edges of alpha, ..., tau^(k-1) alpha, which are
+    # k distinct points of one C x C orbit, all in Gamma1: so depth <= |Gamma1|
     for n in (2, 3, 4):
         for bd in enumerate_structures(n):
-            assert bd.depth <= n * len(bd.gamma1)
+            assert bd.depth <= len(bd.gamma1)
 
 
 def test_json_round_trip(corpus_n3):
@@ -241,31 +244,20 @@ def test_json_round_trip(corpus_n3):
     assert structure_from_json(structure_to_json(obd)) == obd
 
 
-def cycle_through(order) -> CyclicPermutation:
-    images = [0] * len(order)
-    for idx, s in enumerate(order):
-        images[s - 1] = order[(idx + 1) % len(order)]
-    return CyclicPermutation(images)
-
-
 @st.composite
 def candidates(draw):
     """(C0, C, Gamma1) on {1..n}, n <= 7: two arbitrary transitive cycles and any
     subset of the graph of C0, valid or not."""
     n = draw(st.integers(1, 7))
-    c0, c = (cycle_through([1] + draw(st.permutations(range(2, n + 1)))) for _ in range(2))
+    orders = ([1] + draw(st.permutations(range(2, n + 1))) for _ in range(2))
+    c0, c = map(CyclicPermutation.from_order, orders)
     graph = sorted((s, c0(s)) for s in range(1, n + 1))
     return c0, c, [a for a in graph if draw(st.booleans())]
 
 
-def satisfies_invariants(c0, c, gamma1) -> bool:
-    """The structure axioms checked directly: Gamma1 and its image proper
-    subsets of the graph of C0, and every Gamma1 edge leaving Gamma1 under C x C."""
-    graph = {(s, c0(s)) for s in range(1, c0.n + 1)}
+def is_nilpotent(c, gamma1) -> bool:
+    """Every Gamma1 edge leaves Gamma1 under some power of C x C."""
     gamma1 = set(gamma1)
-    image = {(c(i), c(j)) for i, j in gamma1}
-    if gamma1 == graph or not image <= graph or image == graph:
-        return False
     for edge in gamma1:
         seen = set()
         while edge in gamma1 and edge not in seen:
@@ -276,15 +268,40 @@ def satisfies_invariants(c0, c, gamma1) -> bool:
     return True
 
 
+def satisfies_invariants(c0, c, gamma1) -> bool:
+    """The structure axioms checked directly: Gamma1 and its image proper
+    subsets of the graph of C0, and every Gamma1 edge leaving Gamma1 under C x C."""
+    graph = {(s, c0(s)) for s in range(1, c0.n + 1)}
+    gamma1 = set(gamma1)
+    image = {(c(i), c(j)) for i, j in gamma1}
+    if gamma1 == graph or not image <= graph or image == graph:
+        return False
+    return is_nilpotent(c, gamma1)
+
+
+@settings(derandomize=True, database=None)
+@given(candidates())
+def test_proper_gamma1_mapped_into_the_graph_is_nilpotent(candidate):
+    # the orbit argument that lets BDStructure skip its nilpotency and
+    # proper-Gamma2 checks: a C x C orbit has N members, so one inside Gamma1
+    # would fill the graph
+    c0, c, gamma1 = candidate
+    graph = {(s, c0(s)) for s in range(1, c0.n + 1)}
+    image = {(c(i), c(j)) for i, j in gamma1}
+    assume(set(gamma1) != graph and image <= graph)
+    assert is_nilpotent(c, gamma1) and image != graph
+
+
 @settings(derandomize=True, database=None)
 @given(candidates())
 def test_validation_accepts_exactly_the_structures(candidate):
     try:
-        BDStructure(*candidate)
+        bd = BDStructure(*candidate)
     except InvalidStructure:
         assert not satisfies_invariants(*candidate)
     else:
         assert satisfies_invariants(*candidate)
+        assert bd.depth <= len(bd.gamma1)  # as in test_depth_is_capped
 
 
 @settings(derandomize=True, database=None)
@@ -307,7 +324,6 @@ def test_labels_must_be_integers():
         lambda: CyclicPermutation([2, 3.0, 1]),
         lambda: CyclicPermutation([2, 3, True]),
         lambda: BDStructure(std(3), std(3), [(1, 2.2)]),
-        lambda: BDStructure(std(3), std(3), [(1, 2)], gamma2=[(2, "3")]),
         lambda: OrderedBDStructure(bd, (3.0, 1)),
     ):
         with pytest.raises(ValueError, match="expected an integer"):
