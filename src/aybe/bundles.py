@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solutions import PoleError, RFun, multiplicative_guards
+from .solutions import HARD_GUARD, PoleError, RFun, multiplicative_guards
 from .structures import BDStructure, CyclicPermutation, OrderedBDStructure, as_int
 from .tensors import Tensor2
 
@@ -340,11 +340,6 @@ def tau_free_matrix(N: int, n: int) -> SplittingMatrix:
 # ---------------------------------------------------------------------------
 
 
-#: how near 0 |x^N - 1|, |x|, |y|, |y'| and |y - y'| may come before the point
-#: counts as a pole of the Massey map (and x as an N-th root of unity)
-POLE_MARGIN = 1e-12
-
-
 def _gluing_cycle(m: SplittingMatrix, delta: int) -> list[tuple[int, int, int]]:
     """Block delta of the gluing system as one cycle of its N*n entries.
 
@@ -379,7 +374,7 @@ def hom_dim(m: SplittingMatrix, x) -> int:
     whole run.  A run is free (one dimension) exactly when neither end cut
     pins it to 0, that is when both have degree >= 1.  A cut-free cycle
     closes on itself with the factor x^N and is free when |x^N - 1| <=
-    ``POLE_MARGIN``.  Works for any matrix, simple or not; x = 0 is refused.
+    ``HARD_GUARD``.  Works for any matrix, simple or not; x = 0 is refused.
     """
     x = complex(x)
     if x == 0:
@@ -392,7 +387,7 @@ def hom_dim(m: SplittingMatrix, x) -> int:
         if cuts:
             dim += sum(a >= 1 and b >= 1 for a, b in zip(cuts, cuts[1:] + cuts[:1]))
         else:
-            dim += abs(x ** m.n_rows - 1.0) <= POLE_MARGIN
+            dim += abs(x ** m.n_rows - 1.0) <= HARD_GUARD
     return dim
 
 
@@ -416,9 +411,8 @@ class MasseyMap:
 
 
 def _check_massey_args(m, x, y, yp):
-    N = m.n_rows
     x, y, yp = complex(x), complex(y), complex(yp)
-    if min(abs(x ** N - 1.0), abs(y - yp), abs(x), abs(y), abs(yp)) <= POLE_MARGIN:
+    if min(g.distance(x, y, yp) for g in multiplicative_guards(m.n_rows)) <= HARD_GUARD:
         raise PoleError(f"massey map evaluated at a pole: x={x}, y={y}, y'={yp}")
     return x, y, yp
 

@@ -57,11 +57,8 @@ _n_max = _checked(int, lambda v: 1 <= v <= 5, "between 1 and 5")  # largest enum
 _EVAL_N_MAX = 32
 _eval_n = _checked(int, lambda v: 1 <= v <= _EVAL_N_MAX, f"between 1 and {_EVAL_N_MAX}")
 _tol = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and above 0")
-
-
-def _finite_or_null(value):
-    """``value`` if it is a finite number, else None (JSON null): strict JSON has no NaN."""
-    return value if value is not None and math.isfinite(value) else None
+#: largest N that verify checks a loaded structure at: an N^3 x N^3 operand takes 16 N^6 bytes
+_VERIFY_N_MAX = 16
 
 
 def _complex_pairs(array: np.ndarray):
@@ -134,29 +131,30 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-_EVAL_KINDS = ("trig", "quantum", "classical", "multiplicative", "rational")
+#: eval kind -> (its family from the ordered structure, None if from --n and --c; the point it reads)
+_FAMILIES = {
+    "trig": (lambda obd: solutions.trigonometric_r(obd.bd), ("u", "v")),
+    "quantum": (lambda obd: solutions.quantum_R(obd.bd), ("u", "v")),
+    "classical": (lambda obd: solutions.classical_r0(obd.bd), ("v",)),
+    "multiplicative": (solutions.multiplicative_r, ("x", "y", "yp")),
+    "rational": (None, ("u", "v")),
+}
 
 
 @np.errstate(all="ignore")  # an overflow is reported below, by the value it spoils
 def _cmd_eval(args) -> int:
     kind = args.kind
+    build, reads = _FAMILIES[kind]
     # every point option is parsed, so a malformed one is an error whatever the kind
-    u, v, x, y, yp, c = (_parse_complex(getattr(args, a)) for a in ("u", "v", "x", "y", "yp", "c"))
-    if kind == "rational":
-        t = solutions.rational_R(args.n, c)(u, v)
+    point = {a: _parse_complex(getattr(args, a)) for a in ("u", "v", "x", "y", "yp", "c")}
+    if build is None:
+        family = solutions.rational_R(args.n, point["c"])
     else:
         obj = _load(args, "structure", structures.structure_from_json)
-        bd = obj.bd if isinstance(obj, OrderedBDStructure) else obj
-        if bd.n > _EVAL_N_MAX:
-            raise CliError(f"eval builds families up to N = {_EVAL_N_MAX}, not N = {bd.n}")
-        if kind == "trig":
-            t = solutions.trigonometric_r(bd)(u, v)
-        elif kind == "quantum":
-            t = solutions.quantum_R(bd)(u, v)
-        elif kind == "classical":
-            t = solutions.classical_r0(bd)(v)
-        else:  # argparse's choices leave only "multiplicative"
-            t = solutions.multiplicative_r(_as_ordered(obj))(x, y, yp)
+        if obj.n > _EVAL_N_MAX:
+            raise CliError(f"eval builds families up to N = {_EVAL_N_MAX}, not N = {obj.n}")
+        family = build(_as_ordered(obj))
+    t = family(*(point[a] for a in reads))
     bad = t.coeffs[~np.isfinite(t.coeffs)]
     if bad.size:
         raise CliError(f"{kind} value overflows: {bad.size} coefficients are not finite, one is {bad[0]}")
@@ -166,20 +164,19 @@ def _cmd_eval(args) -> int:
 
 def _suite_runners(plan, tol, u_fixed):
     sol = solutions
-    strict = verify.DEFAULT_TOL if tol is None else tol
-    loose = verify.EXTRACTION_TOL if tol is None else tol
+    kw = {} if tol is None else {"tol": tol}  # else each suite keeps its own default
     return {
-        "aybe": lambda obd: verify.residual_aybe(sol.trigonometric_r(obd.bd), plan, strict),
-        "unitarity": lambda obd: verify.residual_unitarity(sol.trigonometric_r(obd.bd), plan, strict),
-        "qybe": lambda obd: verify.residual_qybe(sol.quantum_R(obd.bd), u_fixed, plan, strict),
-        "qybe-unitarity": lambda obd: verify.residual_qybe_unitarity(sol.quantum_R(obd.bd), plan, strict),
-        "cybe": lambda obd: verify.residual_cybe(sol.classical_r0(obd.bd), plan, strict),
-        "s-identity": lambda obd: verify.residual_s_identity(sol.trigonometric_r(obd.bd), plan, strict),
-        "cubic": lambda obd: verify.residual_cubic(sol.trigonometric_r(obd.bd), plan, strict),
-        "aybe2": lambda obd: verify.residual_aybe2(sol.multiplicative_r(obd), plan, strict),
-        "abc": lambda obd: verify.residual_abc(obd, plan, strict),
+        "aybe": lambda obd: verify.residual_aybe(sol.trigonometric_r(obd.bd), plan, **kw),
+        "unitarity": lambda obd: verify.residual_unitarity(sol.trigonometric_r(obd.bd), plan, **kw),
+        "qybe": lambda obd: verify.residual_qybe(sol.quantum_R(obd.bd), u_fixed, plan, **kw),
+        "qybe-unitarity": lambda obd: verify.residual_qybe_unitarity(sol.quantum_R(obd.bd), plan, **kw),
+        "cybe": lambda obd: verify.residual_cybe(sol.classical_r0(obd.bd), plan, **kw),
+        "s-identity": lambda obd: verify.residual_s_identity(sol.trigonometric_r(obd.bd), plan, **kw),
+        "cubic": lambda obd: verify.residual_cubic(sol.trigonometric_r(obd.bd), plan, **kw),
+        "aybe2": lambda obd: verify.residual_aybe2(sol.multiplicative_r(obd), plan, **kw),
+        "abc": lambda obd: verify.residual_abc(obd, plan, **kw),
         "laurent-identity": lambda obd: verify.residual_laurent_identity(
-            sol.trigonometric_r(obd.bd), plan, loose
+            sol.trigonometric_r(obd.bd), plan, **kw
         ),
     }
 
@@ -195,7 +192,13 @@ def _cmd_verify(args) -> int:
         )
 
     if args.structure or args.stdin:
-        ordered = [_as_ordered(_load(args, "structure", structures.structure_from_json))]
+        obj = _load(args, "structure", structures.structure_from_json)
+        if obj.n > _VERIFY_N_MAX:
+            raise CliError(
+                f"verify checks structures up to N = {_VERIFY_N_MAX}, not N = {obj.n}: "
+                f"one N^3 x N^3 operand would take {16 * obj.n ** 6} bytes"
+            )
+        ordered = [_as_ordered(obj)]
     else:
         ordered = [
             _as_ordered(bd)
@@ -257,7 +260,7 @@ def _cmd_oracle_compare(args) -> int:
     doc = {
         "trials": len(devs),
         "seed": args.seed,
-        "max_deviation": _finite_or_null(worst),
+        "max_deviation": verify.finite_or_null(worst),
         "tol": args.tol,
         "pass": worst <= args.tol,
     }
@@ -289,7 +292,7 @@ def _check_report(doc) -> tuple[str, bool]:
     is derived again as at least one sample and a finite max_residual at most
     a finite tol, and a stored ``pass`` that disagrees fails it."""
     _require_fields(doc, _REPORT_FIELDS)
-    res, tol = (_finite_or_null(doc[name]) for name in ("max_residual", "tol"))
+    res, tol = (verify.finite_or_null(doc[name]) for name in ("max_residual", "tol"))
     ok = doc["samples"] >= 1 and None not in (res, tol) and res <= tol
     verdict = "pass" if ok else "FAIL"
     if doc["pass"] != ok:
@@ -319,7 +322,7 @@ def _cmd_report(args) -> int:
         for report, (_, ok) in zip(reports, checked):
             report["pass"] = ok
             for name in ("max_residual", "tol"):
-                report[name] = _finite_or_null(report[name])
+                report[name] = verify.finite_or_null(report[name])
         doc["pass"] = passed
         _emit(args, json.dumps(doc, sort_keys=True))
     return 0 if passed else 1
@@ -357,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_enumerate)
 
     sp = sub.add_parser("eval", help="evaluate a solution family at a point")
-    sp.add_argument("--kind", choices=_EVAL_KINDS, required=True)
+    sp.add_argument("--kind", choices=_FAMILIES, required=True)
     sp.add_argument("--u", default="0.9,0.3")
     sp.add_argument("--v", default="-0.7,0.4")
     sp.add_argument("--x", default="1.3,0.4")
@@ -387,8 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle-compare", help="closed form vs gluing-system solve")
     sp.add_argument("--trials", type=_count, default=16)
     common(sp, "seed", "tol", "stdin", "matrix")
-    sp.set_defaults(fn=_cmd_oracle_compare)
-    sp.set_defaults(tol=1e-9)
+    sp.set_defaults(fn=_cmd_oracle_compare, tol=1e-9)
 
     sp = sub.add_parser("report", help="render a stored report")
     sp.add_argument("--in", dest="infile", default=None)

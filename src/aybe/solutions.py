@@ -57,6 +57,7 @@ __all__ = [
     "quantum_R",
     "multiplicative_r",
     "multiplicative_guards",
+    "x_pole_distance",
     "abc_parts",
     "difference_form",
     "gauge_transform",
@@ -72,6 +73,8 @@ __all__ = [
 
 #: below this pole distance evaluation refuses to proceed
 HARD_GUARD = 1e-12
+#: rejected candidates after which a sample plan gives up
+MAX_REJECTS = 10_000
 
 
 class PoleError(ArithmeticError):
@@ -130,14 +133,13 @@ class SamplePlan:
     Samples are complex tuples with real and imaginary parts uniform on the
     rectangle; a candidate is rejected unless every evaluation point of the
     identity keeps at least ``guard_margin`` distance from every declared
-    pole expression.
+    pole expression.  ``draw`` gives up after ``MAX_REJECTS`` rejections.
     """
 
     seed: int = 0
     count: int = 32
     rect: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
     guard_margin: float = 0.05
-    max_rejects: int = 10_000
 
     def __post_init__(self) -> None:
         # a report over zero samples would pass without checking anything
@@ -157,10 +159,8 @@ class SamplePlan:
                 points.append(z)
             else:
                 rejects += 1
-                if rejects > self.max_rejects:
-                    raise SamplerExhausted(
-                        f"exceeded {self.max_rejects} rejections; loosen the plan"
-                    )
+                if rejects > MAX_REJECTS:
+                    raise SamplerExhausted(f"exceeded {MAX_REJECTS} rejections; loosen the plan")
         return points
 
 
@@ -299,7 +299,7 @@ def _abc_table(obd: OrderedBDStructure) -> _AbcTable:
     rows = [(0, (i, i) + (bd.c.power(i, k),) * 2, 1, k, True) for i in labels for k in range(n)]
     rows += [(0, (i, j, j, i), 1, 0, False) for i in labels for j in labels if obd.less(i, j)]
     for k, (i, j), (ck_i, ck_j) in bd._tau_iterates:
-        if obd.is_positive((i, j)):
+        if obd.less(i, j):
             rows += [(0, (i, j, ck_j, ck_i), 1, k, False), (0, (ck_j, ck_i, i, j), -1, -k, False)]
         else:
             rows += [(1, (i, j, ck_j, ck_i), 1, k, False), (2, (ck_j, ck_i, i, j), 1, -k, False)]
@@ -312,6 +312,11 @@ def _abc_table(obd: OrderedBDStructure) -> _AbcTable:
     return table
 
 
+def x_pole_distance(n: int, x) -> float:
+    """Distance min(|x|, |x^n - 1|) of x from the poles of a(x), b(x) and c(x)."""
+    return min(abs(x), abs(x ** n - 1.0))
+
+
 def abc_parts(obd: OrderedBDStructure, x) -> tuple[Tensor2, Tensor2, Tensor2]:
     """Decomposition r(x; y, y') = a(x) + y b(x) - y' c(x) + y/(y'-y) P.
 
@@ -321,7 +326,7 @@ def abc_parts(obd: OrderedBDStructure, x) -> tuple[Tensor2, Tensor2, Tensor2]:
     table = _abc_table(obd)
     n = obd.n
     x = complex(x)
-    if abs(x ** n - 1.0) < HARD_GUARD or abs(x) < HARD_GUARD:
+    if x_pole_distance(n, x) < HARD_GUARD:
         raise PoleError(f"abc parts evaluated at a pole: x={x}")
     w = table.weights(x)
     cuts = table.cuts
@@ -347,12 +352,11 @@ def multiplicative_r(obd: OrderedBDStructure) -> RFun:
 
 
 def multiplicative_guards(n: int) -> tuple:
-    """Pole guards of a rank-n three-variable family r(x; y, y'): x^n = 1,
-    y = y', and x, y or y' at zero."""
+    """Pole guards of a rank-n three-variable family r(x; y, y') and of the
+    Massey map: x at 0 or x^n = 1, y = y', and y or y' at zero."""
     return (
-        Guard("x^N - 1", (0,), lambda x, y, yp: abs(x ** n - 1.0)),
+        Guard("x, x^N - 1", (0,), lambda x, y, yp: x_pole_distance(n, x)),
         Guard("y - y'", (1, 2), lambda x, y, yp: abs(y - yp)),
-        Guard("x", (0,), lambda x, y, yp: abs(x)),
         Guard("y", (1,), lambda x, y, yp: abs(y)),
         Guard("y'", (2,), lambda x, y, yp: abs(yp)),
     )
@@ -563,11 +567,11 @@ def classical_r0(bd: BDStructure) -> RFun:
     n = bd.n
     table = _trig_table(bd)
     const = np.select([table.block == _P0, table.block == _U_DIAG], [1.0, table.k / n - 0.5], 0.0)
-    t_const = project_sl(_scatter(n, table.idx, const), {1, 2})
+    t_const = project_sl(_scatter(n, table.idx, const))
 
     def fn(v):
         wv = _inv_expm1(v)
-        return t_const + project_sl(table((wv, 0.0, wv, 1.0), 0.0, v), {1, 2})
+        return t_const + project_sl(table((wv, 0.0, wv, 1.0), 0.0, v))
 
     guards = (_exp_guard("exp(v)-1", (0,), lambda v: v),)
     return RFun(n, "classical", 1, fn, guards)

@@ -22,6 +22,7 @@ import operator
 
 __all__ = [
     "InvalidStructure",
+    "as_int",
     "CyclicPermutation",
     "BDStructure",
     "OrderedBDStructure",
@@ -269,13 +270,10 @@ class OrderedBDStructure:
     def less(self, s: int, t: int) -> bool:
         return self.positions[s] < self.positions[t]
 
-    def is_positive(self, alpha: Pair) -> bool:
-        return self.positions[alpha[0]] < self.positions[alpha[1]]
-
     def signed_domains(self, k: int) -> tuple[frozenset, frozenset]:
         """Split the domain of tau^k into positive and negative pairs."""
         dom = self.bd.tau_domain(k)
-        plus = frozenset(a for a in dom if self.is_positive(a))
+        plus = frozenset(a for a in dom if self.less(*a))
         return plus, dom - plus
 
     def key(self) -> tuple:

@@ -223,18 +223,14 @@ def rmul_embed(x: np.ndarray, t: Tensor2, slots: tuple[int, int]) -> np.ndarray:
     return np.moveaxis(y.reshape(n ** 3, n, n, n), (1, 2, 3), (k, i, j)).reshape(n ** 3, n ** 3)
 
 
-def project_sl(t: Tensor2, slots=(1, 2)) -> Tensor2:
-    """Apply X -> X - tr(X)/N in the selected tensor factors."""
-    c = t.coeffs.copy()
+def project_sl(t: Tensor2) -> Tensor2:
+    """Apply X -> X - tr(X)/N in the first tensor factor, then in the second."""
     n = t.n
     eye = np.eye(n)
-    if 1 in slots:
-        tr1 = np.einsum("aars->rs", c) / n
-        c = c - np.einsum("pq,rs->pqrs", eye, tr1)
-    if 2 in slots:
-        tr2 = np.einsum("pqaa->pq", c) / n
-        c = c - np.einsum("pq,rs->pqrs", tr2, eye)
-    return Tensor2(n, c)
+    tr1 = np.einsum("aars->rs", t.coeffs) / n
+    c = t.coeffs - np.einsum("pq,rs->pqrs", eye, tr1)
+    tr2 = np.einsum("pqaa->pq", c) / n
+    return Tensor2(n, c - np.einsum("pq,rs->pqrs", tr2, eye))
 
 
 def is_nondegenerate(t: Tensor2, cond_cap: float = 1e12) -> tuple[bool, float]:

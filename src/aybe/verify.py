@@ -33,6 +33,7 @@ from .solutions import (
     laurent_r0,
     laurent_r1,
     s_product,
+    x_pole_distance,
 )
 from .structures import OrderedBDStructure
 from .tensors import Tensor2, compose2, embed, rmul_embed, swap_factors, sym_commutator, unit2
@@ -54,6 +55,7 @@ __all__ = [
     "residual_symmetry",
     "residual_laurent_identity",
     "perturb",
+    "finite_or_null",
     "DEFAULT_TOL",
     "EXTRACTION_TOL",
 ]
@@ -62,18 +64,28 @@ DEFAULT_TOL = 1e-8
 EXTRACTION_TOL = 1e-5
 
 
+def finite_or_null(value):
+    """``value`` if it is a finite number, else None (JSON null): strict JSON has no NaN."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class Report:
-    """Outcome of one residual suite."""
+    """Outcome of one residual suite: one residual per sample of its plan."""
 
     suite: str
     plan: SamplePlan
     per_sample: tuple[float, ...]
     tol: float
 
+    def __post_init__(self) -> None:
+        # a report missing samples would pass on fewer checks than its plan promises
+        if len(self.per_sample) != self.plan.count:
+            raise ValueError(f"{self.suite}: {len(self.per_sample)} residuals, {self.plan.count} samples")
+
     @property
     def max_residual(self) -> float:
-        return float(np.max(self.per_sample)) if self.per_sample else 0.0
+        return float(np.max(self.per_sample))
 
     @property
     def passed(self) -> bool:
@@ -84,8 +96,8 @@ class Report:
             "suite": self.suite,
             "seed": self.plan.seed,
             "samples": len(self.per_sample),
-            "max_residual": self.max_residual if math.isfinite(self.max_residual) else None,
-            "tol": self.tol,
+            "max_residual": finite_or_null(self.max_residual),
+            "tol": finite_or_null(self.tol),
             "pass": self.passed,
         }
         return json.dumps(doc, sort_keys=True)
@@ -295,15 +307,10 @@ def residual_abc(
     (iii) the quadratic b relation, (iv) the mixed a/c relation.
     ``parts`` may substitute another decomposition, e.g. for mutation tests.
     """
-    n = obd.n
-
-    def guard(x):
-        return min(abs(x), abs(x ** n - 1.0))
-
     def ok(z):
         x, xp = z
         return all(
-            guard(w) > plan.guard_margin
+            x_pole_distance(obd.n, w) > plan.guard_margin
             for w in (x, xp, 1.0 / x, 1.0 / xp, x * xp)
         )
 

@@ -30,7 +30,7 @@ from aybe.bundles import (
     star_order,
     tau_free_matrix,
 )
-from aybe.solutions import PoleError, multiplicative_r
+from aybe.solutions import PoleError, abc_parts, multiplicative_guards, multiplicative_r
 from aybe.structures import BDStructure, CyclicPermutation, OrderedBDStructure, enumerate_ordered
 from aybe.verify import SamplePlan, residual_aybe2
 
@@ -38,10 +38,11 @@ from conftest import rand_complex
 
 
 def guarded_triple(rng, n_rows, margin=0.15):
+    guards = multiplicative_guards(n_rows)
     while True:
-        x, y, yp = (rand_complex(rng) for _ in range(3))
-        if min(abs(x ** n_rows - 1), abs(x), abs(y), abs(yp), abs(y - yp)) > margin:
-            return x, y, yp
+        z = tuple(rand_complex(rng) for _ in range(3))
+        if min(g.distance(*z) for g in guards) > margin:
+            return z
 
 
 def small_corpus():
@@ -452,6 +453,33 @@ def test_oracle_guard_singular_system():
     mc = massey_closed(m, 1.0 + 1e-10, 0.5, -0.5)
     mo = massey_oracle(m, 1.0 + 1e-10, 0.5, -0.5)
     assert mo.max_abs_diff(mc) <= 1e-15 * np.abs(mc.matrix).max()
+
+
+#: (x, y, y') at each pole the Massey map shares with r(x; y, y'), at N = 5, and
+#: whether x is the pole, which a(x), b(x) and c(x) share too
+POLE_POINTS = {
+    "x=0": ((0.0, 0.8 - 0.3j, -1.1 + 0.6j), True),
+    "x^N=1": ((np.exp(2j * np.pi / 5), 0.8 - 0.3j, -1.1 + 0.6j), True),
+    "y=y'": ((1.3 + 0.4j, 0.8 - 0.3j, 0.8 - 0.3j), False),
+    "y=0": ((1.3 + 0.4j, 0.0, -1.1 + 0.6j), False),
+    "y'=0": ((1.3 + 0.4j, 0.8 - 0.3j, 0.0), False),
+}
+
+
+@pytest.mark.parametrize("point, x_pole", POLE_POINTS.values(), ids=POLE_POINTS)
+def test_every_derivation_refuses_every_pole(point, x_pole):
+    m = matrix_from_sequence(5, 3, (1, 1, 2, 2, 3))
+    obd = bd_from_matrix(m)
+    for evaluate in (
+        lambda z: massey_closed(m, *z),
+        lambda z: massey_oracle(m, *z),
+        lambda z: multiplicative_r(obd)(*z),
+    ):
+        with pytest.raises(PoleError):
+            evaluate(point)
+    if x_pole:
+        with pytest.raises(PoleError):
+            abc_parts(obd, point[0])
 
 
 def test_massey_tensor_equals_multiplicative(rng):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import aybe
+from aybe import verify
 from aybe.bundles import matrix_from_sequence, tau_free_matrix
 from aybe.cli import main
 from aybe.solutions import rational_R
@@ -248,6 +249,29 @@ def test_eval_size_is_bounded(tmp_path, capsys):
     path.write_text(structure_to_json(BDStructure(*[CyclicPermutation.standard(33)] * 2, [])))
     code, out, err = run(capsys, "eval", "--kind", "trig", "--structure", str(path))
     assert code == 2 and out == "" and "N = 33" in json.loads(err)["error"]
+
+
+def test_verify_size_is_bounded(tmp_path, capsys):
+    # N = 17 is one past the bound; the unitarity suite allocates N^4 arrays only,
+    # so a broken bound costs little
+    path = tmp_path / "bd.json"
+    argv = ("verify", "--suite", "unitarity", "--samples", "1", "--structure", str(path))
+    path.write_text(structure_to_json(BDStructure(*[CyclicPermutation.standard(16)] * 2, [])))
+    assert run(capsys, *argv)[0] == 0
+    path.write_text(structure_to_json(BDStructure(*[CyclicPermutation.standard(17)] * 2, [])))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert "N = 17" in error and f"{16 * 17 ** 6} bytes" in error
+
+
+def test_verify_keeps_each_suite_default_tolerance(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "2", "--samples", "2")
+    assert code == 0
+    tols = {(r["suite"], r["tol"]) for r in json.loads(out)["reports"]}
+    loose = verify.EXTRACTION_TOL
+    assert ("laurent-identity", loose) in tols and len(tols) == 10
+    assert all(tol == (loose if suite == "laurent-identity" else verify.DEFAULT_TOL) for suite, tol in tols)
 
 
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):

@@ -375,15 +375,15 @@ def test_classical_matches_numeric_extraction(bd4, rng):
     numeric = laurent_r0(r, 1e-4)
     for _ in range(4):
         v = guarded_point(rng, closed)[0]
-        assert (project_sl(numeric(v), {1, 2}) - closed(v)).max_abs() < 1e-6
+        assert (project_sl(numeric(v)) - closed(v)).max_abs() < 1e-6
 
 
 def test_extraction_error_shrinks_quadratically(bd3):
     r = trigonometric_r(bd3)
     closed = classical_r0(bd3)
     v = 0.9 + 0.4j
-    e1 = (project_sl(laurent_r0(r, 1e-4)(v), {1, 2}) - closed(v)).max_abs()
-    e2 = (project_sl(laurent_r0(r, 5e-5)(v), {1, 2}) - closed(v)).max_abs()
+    e1 = (project_sl(laurent_r0(r, 1e-4)(v)) - closed(v)).max_abs()
+    e2 = (project_sl(laurent_r0(r, 5e-5)(v)) - closed(v)).max_abs()
     assert 3.0 < e1 / e2 < 5.0
 
 
@@ -505,7 +505,7 @@ def ref_classical_r0(bd, v):
         for k in range(1, n):
             t = bd.c.power(i, k)
             s_c[i - 1, i - 1, t - 1, t - 1] += 0.5 - k / n
-    t_const = project_sl(0.5 * diag_P0(n) + Tensor2(n, s_c), {1, 2})
+    t_const = project_sl(0.5 * diag_P0(n) + Tensor2(n, s_c))
     c = np.zeros((n, n, n, n), dtype=complex)
     wv = _ref_inv_expm1(v)
     for i in range(1, n + 1):
@@ -517,7 +517,7 @@ def ref_classical_r0(bd, v):
             w = m * v / n
             c[j - 1, i - 1, ip - 1, jp - 1] += np.exp(-w)
             c[ip - 1, jp - 1, j - 1, i - 1] -= np.exp(w)
-    return (t_const + project_sl(Tensor2(n, c), {1, 2})).coeffs
+    return (t_const + project_sl(Tensor2(n, c))).coeffs
 
 
 def _ref_signed_tau_data(obd):
@@ -526,7 +526,7 @@ def _ref_signed_tau_data(obd):
     for k in range(1, bd.depth + 1):
         for (i, j) in sorted(bd.tau_domain(k)):
             row = (k, i, j, bd.c.power(j, k), bd.c.power(i, k))
-            (plus if obd.is_positive((i, j)) else minus).append(row)
+            (plus if obd.less(i, j) else minus).append(row)
     return plus, minus
 
 

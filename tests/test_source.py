@@ -1,7 +1,10 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import aybe
 
@@ -41,3 +44,29 @@ def test_gluing_system_side_reads_no_closed_form_helper():
                 if used in functions:
                     todo.append(used)
     assert loaded & CLOSED_FORM == set()
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+
+
+#: the modules that declare ``__all__``
+LISTED = sorted(
+    path.stem
+    for path in SRC.glob("*.py")
+    for node in _tree(path.stem).body
+    if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+)
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_all_lists_every_public_definition_and_nothing_missing(name):
+    # star imports and the layer tracer read these lists, so they must be truthful
+    module = importlib.import_module(f"aybe.{name}")
+    defined = {
+        node.name
+        for node in _tree(name).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    assert sorted(defined - set(module.__all__)) == []

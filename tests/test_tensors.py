@@ -190,16 +190,16 @@ def test_embed_is_multiplicative(rng):
 
 def test_project_sl():
     n = 3
-    assert project_sl(unit2(n), {1, 2}).max_abs() == 0.0
+    assert project_sl(unit2(n)).max_abs() == 0.0
     p = perm_P(n)
     expected = p - (1.0 / n) * unit2(n)
-    assert (project_sl(p, {1, 2}) - expected).max_abs() < 1e-14
+    assert (project_sl(p) - expected).max_abs() < 1e-14
 
 
 def test_project_sl_idempotent(rng):
     t = rand_tensor2(rng, 3)
-    once = project_sl(t, {1, 2})
-    twice = project_sl(once, {1, 2})
+    once = project_sl(t)
+    twice = project_sl(once)
     assert (once - twice).max_abs() < 1e-13
 
 

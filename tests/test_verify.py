@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aybe.solutions import (
+    MAX_REJECTS,
     RFun,
     abc_parts,
     classical_r0,
@@ -63,6 +64,13 @@ def test_report_fails_on_any_non_finite_sample():
     assert Report("aybe", SamplePlan(count=2), (1e-16, 3e-16), 1e-8).max_residual == 3e-16
 
 
+@pytest.mark.parametrize("per", [(), (1e-16,), (1e-16, 2e-16, 3e-16)])
+def test_report_holds_one_residual_per_planned_sample(per):
+    # with no residuals at all the report would pass on a maximum of 0.0
+    with pytest.raises(ValueError, match="samples"):
+        Report("aybe", SamplePlan(count=2), per, 1e-8)
+
+
 def test_nan_on_a_later_sample_fails_the_report(bd3):
     r = trigonometric_r(bd3)
 
@@ -95,9 +103,9 @@ def test_plan_without_samples_is_rejected(bd3, count):
 
 
 def test_sampler_exhaustion():
-    plan = SamplePlan(seed=0, count=4, guard_margin=1e9, max_rejects=50)
+    plan = SamplePlan(seed=0, count=4, guard_margin=1e9)
     bd = BDStructure(CyclicPermutation.standard(2), CyclicPermutation.standard(2), [])
-    with pytest.raises(SamplerExhausted):
+    with pytest.raises(SamplerExhausted, match=f"exceeded {MAX_REJECTS} rejections"):
         residual_aybe(trigonometric_r(bd), plan)
 
 
