@@ -219,7 +219,9 @@ def bd_from_matrix(m: SplittingMatrix) -> OrderedBDStructure:
     cycle is i -> i - k, and the chain set P1 collects the pairs whose
     rows agree on all interior columns with order-compatible images.  The
     result is validated and cross-checked against the matrix-level pair
-    bijection.
+    bijection.  The marked edge alpha0 = (last, first) lies outside Gamma2
+    without a check: every Gamma2 pair is a ``_tau_step`` image, which
+    ``precedes`` orders positively, and alpha0 is negative.
     """
     N = m.n_rows
     order = star_order(m)
@@ -241,8 +243,6 @@ def bd_from_matrix(m: SplittingMatrix) -> OrderedBDStructure:
     for a in sorted(bd.p1):
         if bd.tau(a, 1) != matrix_tau(m, a, 1):
             raise CrossCheckFailed(f"structure tau disagrees with the matrix tau at {a}")
-    if obd.alpha0 in bd.gamma2:
-        raise CrossCheckFailed(f"marked edge {obd.alpha0} lies in Gamma2")
     return obd
 
 

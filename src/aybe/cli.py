@@ -183,7 +183,8 @@ def _suite_runners(plan, tol, u_fixed):
 
 def _cmd_verify(args) -> int:
     plan = verify.SamplePlan(seed=args.seed, count=args.samples)
-    runners = _suite_runners(plan, args.tol, _parse_complex(args.u_fixed))
+    u_fixed = verify.U_FIXED if args.u_fixed is None else _parse_complex(args.u_fixed)
+    runners = _suite_runners(plan, args.tol, u_fixed)
     names = list(runners) if args.suite == "all" else [args.suite]
     unknown = [s for s in names if s not in runners]
     if unknown:
@@ -251,7 +252,7 @@ def _cmd_oracle_compare(args) -> int:
     m = _load(args, "matrix", bundles.SplittingMatrix.from_json)
     plan = verify.SamplePlan(seed=args.seed, count=args.trials)
     guards = solutions.multiplicative_guards(m.n_rows)
-    triples = plan.draw(3, lambda z: min(g.distance(*z) for g in guards) >= plan.guard_margin)
+    triples = plan.draw(3, lambda z: min(g.distance(*z) for g in guards) > plan.guard_margin)
     devs = [
         bundles.massey_closed(m, x, y, yp).max_abs_diff(bundles.massey_oracle(m, x, y, yp))
         for x, y, yp in triples
@@ -340,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = {
         "out": dict(default=None),
         "seed": dict(type=int, default=0),
-        "samples": dict(type=_count, default=32),
+        "samples": dict(type=_count, default=verify.SamplePlan.count),
         "tol": dict(type=_tol, default=None,
                     help="residual tolerance (per-suite default when omitted)"),
         "format": dict(choices=("json", "text"), default="json"),
@@ -373,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run residual suites")
     sp.add_argument("--suite", default="all")
-    sp.add_argument("--u-fixed", dest="u_fixed", default="0.9,0.2")
+    sp.add_argument("--u-fixed", dest="u_fixed", help="qybe's fixed u, RE or RE,IM (default verify.U_FIXED)")
     sp.add_argument("--n-max", dest="n_max", type=_n_max, default=4,
                     help="largest set size when no structure is given")
     common(sp, "seed", "samples", "tol", "format", "stdin", "structure")
@@ -413,6 +414,9 @@ def main(argv=None) -> int:
         return _USAGE_ERROR
     except MemoryError as exc:  # an operand too large for this machine is an input error too
         print(json.dumps({"error": f"out of memory: {exc}"}), file=sys.stderr)
+        return _USAGE_ERROR
+    except OverflowError as exc:  # so is a finite input whose value overflows a float
+        print(json.dumps({"error": f"overflow: {exc}"}), file=sys.stderr)
         return _USAGE_ERROR
     except bundles.CrossCheckFailed as exc:  # the input was fine; two derivations disagree
         print(json.dumps({"error": f"cross-check failed: {exc}"}), file=sys.stderr)

@@ -248,7 +248,11 @@ class OrderedBDStructure:
     __slots__ = ("bd", "alpha0", "positions")
 
     def __init__(self, bd: BDStructure, alpha0: Pair) -> None:
-        alpha0 = (as_int(alpha0[0]), as_int(alpha0[1]))
+        try:
+            i, j = alpha0
+        except (TypeError, ValueError):
+            raise InvalidStructure(f"alpha0 must be one pair of labels, got {alpha0!r}") from None
+        alpha0 = (as_int(i), as_int(j))
         if alpha0 not in bd.graph:
             raise InvalidStructure("alpha0 is not an edge of C0")
         self.bd = bd

@@ -7,7 +7,8 @@ left minus right.  Most identities list their evaluation points once, as
 that brings one of its points closer than the guard margin to a declared
 pole of its family, and supplies the values the residual contracts.
 The a/b/c closure, the s-identity and the h-equation, whose evaluations
-are not plain family calls, keep a hand-written acceptance test.
+are not plain family calls, guard by hand exactly the points they evaluate.
+A candidate is kept only when every distance is strictly above the margin.
 Aggregation is a NaN-propagating max, so a NaN or infinite sample anywhere
 fails the report, and reports are independent of evaluation order;
 identical seeds give bit-identical reports.
@@ -30,6 +31,7 @@ from .solutions import (
     SamplePlan,
     SamplerExhausted,
     abc_parts,
+    exp_pole_distance,
     laurent_r0,
     laurent_r1,
     s_product,
@@ -58,10 +60,13 @@ __all__ = [
     "finite_or_null",
     "DEFAULT_TOL",
     "EXTRACTION_TOL",
+    "U_FIXED",
 ]
 
 DEFAULT_TOL = 1e-8
 EXTRACTION_TOL = 1e-5
+#: the fixed first argument at which the QYBE is checked in v
+U_FIXED = 0.9 + 0.2j
 
 
 def finite_or_null(value):
@@ -143,19 +148,17 @@ def _run(suite, plan, tol, nvars, ok, residual) -> Report:
     return Report(suite, plan, per, tol)
 
 
-def _run_at(suite, plan, tol, nvars, points, residual, ok=None) -> Report:
+def _run_at(suite, plan, tol, nvars, points, residual) -> Report:
     """``_run`` for an identity that evaluates RFun families at listed points.
 
     ``points(*z)`` lists the (family, args) pairs the identity evaluates at
-    sample z.  A candidate is kept if ``ok(z)`` holds (when given; it runs
-    first) and every pair keeps ``family.pole_distance(*args)`` above the
-    guard margin; ``residual`` receives the values ``family(*args)`` in order.
+    sample z.  A candidate is kept if every pair keeps
+    ``family.pole_distance(*args)`` above the guard margin; ``residual``
+    receives the values ``family(*args)`` in order.
     """
     margin = plan.guard_margin
 
     def keep(z):
-        if ok is not None and not ok(z):
-            return False
         return all(f.pole_distance(*args) > margin for f, args in points(*z))
 
     def evaluate(*z):
@@ -209,7 +212,7 @@ def residual_unitarity(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DE
 
 
 def residual_qybe(
-    R: RFun, u_fixed=0.9 + 0.2j, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL
+    R: RFun, u_fixed=U_FIXED, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL
 ) -> Report:
     """Quantum Yang-Baxter residual in v at fixed u."""
 
@@ -272,12 +275,9 @@ def residual_aybe2(rm: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAU
     if rm.arity != 3:
         raise ValueError("this residual needs a three-variable function")
 
-    def ok(z):
-        # runs before ``points``, which divides by x and x'
-        return min(abs(z[0]), abs(z[1])) >= plan.guard_margin
-
     def points(x, xp, y1, y2, y3):
-        """The six factors of the equation, then r21 at 1/x for unitarity."""
+        """The six factors of the equation, then r21 at 1/x for unitarity; the
+        x guard at (x, ...) and (x', ...) keeps both away from 0."""
         return [
             (rm, (1.0 / xp, y1, y2)),
             (rm, (x * xp, y1, y3)),
@@ -292,7 +292,7 @@ def residual_aybe2(rm: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAU
         unit = (swap_factors(b12) + inv21).max_abs()
         return _worst(_max_abs(_aybe_lhs(a12, a13, a23, b12, b13, b23)), unit)
 
-    return _run_at("aybe2", plan, tol, 5, points, res, ok)
+    return _run_at("aybe2", plan, tol, 5, points, res)
 
 
 def residual_abc(
@@ -307,18 +307,17 @@ def residual_abc(
     (iii) the quadratic b relation, (iv) the mixed a/c relation.
     ``parts`` may substitute another decomposition, e.g. for mutation tests.
     """
+    def points(x, xp):
+        """The four x at which the equations read the parts."""
+        return (x, xp, 1.0 / xp, x * xp)
+
     def ok(z):
-        x, xp = z
-        return all(
-            x_pole_distance(obd.n, w) > plan.guard_margin
-            for w in (x, xp, 1.0 / x, 1.0 / xp, x * xp)
-        )
+        return all(x_pole_distance(obd.n, w) > plan.guard_margin for w in points(*z))
 
     def res(x, xp):
-        ax, bx, cx = parts(obd, x)
-        axp, bxp, cxp = parts(obd, xp)
-        a_inv_xp = parts(obd, 1.0 / xp)[0]
-        a_prod, b_prod, c_prod = parts(obd, x * xp)
+        (ax, bx, cx), (axp, bxp, cxp), (a_inv_xp, _, _), (a_prod, b_prod, c_prod) = (
+            parts(obd, w) for w in points(x, xp)
+        )
         r1 = _max_abs(_aybe_lhs(a_inv_xp, a_prod, a_prod, ax, ax, axp))
         r2 = _max_abs(_prod((bx, (1, 2)), (bxp, (1, 3))))
         r3 = _max_abs(
@@ -371,7 +370,7 @@ def residual_s_identity(
         if s.pole_distance(u, v) <= plan.guard_margin:
             return False
         # the target scalar has its own poles at u, v = 0 for trig forms
-        return min(abs(np.exp(u) - 1.0), abs(np.exp(v) - 1.0)) > plan.guard_margin
+        return min(exp_pole_distance(u), exp_pole_distance(v)) > plan.guard_margin
 
     return _run("s-identity", plan, tol, 2, ok, res)
 
@@ -473,8 +472,9 @@ def residual_h_equation(
 
     def ok(z):
         v1, v2, v3 = z
+        # w = 0 is one of the zeros of e^w - 1
         return all(
-            min(abs(w), abs(np.exp(w) - 1.0)) > plan.guard_margin
+            exp_pole_distance(w) > plan.guard_margin
             for w in (v1 - v2, v2 - v3, v3 - v1)
         )
 

@@ -772,6 +772,17 @@ def test_tau_step_inv_inverts_tau_step(m):
         assert beta == ref_tau_step(m, alpha) and back == ref_tau_step_inv(m, alpha)
 
 
+@settings(derandomize=True, database=None)
+@given(simple_matrices())
+def test_marked_edge_is_negative_and_every_gamma2_pair_positive(m):
+    # why bd_from_matrix needs no alpha0-outside-Gamma2 check: Gamma2 pairs are
+    # _tau_step images, which precedes orders positively; alpha0 = (last, first)
+    obd = bd_from_matrix(m)
+    assert all(obd.less(*pair) for pair in obd.bd.gamma2)
+    assert not obd.less(*obd.alpha0)
+    assert obd.alpha0 == (star_order(m)[-1], star_order(m)[0])
+
+
 @settings(derandomize=True, database=None, deadline=None)  # a dense rank per point is slow at N = 6
 @given(splitting_matrices())
 @example(matrix_from_sequence(5, 3, [1, 1, 2, 2, 3]))  # simple

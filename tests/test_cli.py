@@ -1,19 +1,22 @@
 """Command-line interface: exit codes, determinism, JSON interchange."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import aybe
 from aybe import verify
 from aybe.bundles import matrix_from_sequence, tau_free_matrix
 from aybe.cli import main
-from aybe.solutions import rational_R
+from aybe.solutions import quantum_R, rational_R
 from aybe.structures import (
     BDStructure,
     CyclicPermutation,
@@ -359,6 +362,41 @@ def test_non_integer_structure_is_usage_error(tmp_path, capsys, argv, key, value
     assert "expected an integer" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("alpha0", [[], [1], [3, 1, 2]])
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "--kind", "multiplicative"), ("verify", "--suite", "aybe2", "--samples", "2")],
+)
+def test_alpha0_that_is_not_one_pair_is_usage_error(tmp_path, capsys, argv, alpha0):
+    doc = json.loads(structure_to_json(enumerate_ordered(3)[1]))
+    doc["alpha0"] = alpha0
+    path = tmp_path / "bd.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--structure", str(path))
+    assert code == 2 and out == ""
+    assert "one pair" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("x", ["1e200", "1e300", "-1e300"])
+def test_eval_overflow_is_usage_error(tmp_path, capsys, x):
+    # x^N overflows a float in the x guard, before any value is formed
+    path = tmp_path / "bd.json"
+    path.write_text(structure_to_json(enumerate_ordered(3)[1]))
+    code, out, err = run(capsys, "eval", "--kind", "multiplicative", "--structure", str(path), f"--x={x}")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith("overflow: ")
+
+
+def test_verify_defaults_are_the_library_defaults(tmp_path, capsys):
+    # --samples and --u-fixed, when omitted, are SamplePlan's count and residual_qybe's u_fixed
+    obd = enumerate_ordered(3)[1]
+    path = tmp_path / "bd.json"
+    path.write_text(structure_to_json(obd))
+    code, out, _ = run(capsys, "verify", "--suite", "qybe", "--structure", str(path))
+    want = verify.residual_qybe(quantum_R(obd.bd), plan=verify.SamplePlan())
+    assert code == 0 and json.loads(out)["reports"] == [json.loads(want.to_json())]
+
+
 def test_eval_at_pole_is_error(tmp_path, capsys):
     bd = enumerate_structures(2)[0]
     path = tmp_path / "bd.json"
@@ -587,3 +625,57 @@ def test_output_file_and_text_format(tmp_path, capsys):
     assert len(json.loads(out_path.read_text())) == 3
     code, out, _ = run(capsys, "enumerate", "--n", "2", "--format", "text")
     assert code == 0 and out.startswith("3 structures")
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under malformed input
+# ---------------------------------------------------------------------------
+
+#: a valid structure, matrix and report document, each at N <= 5
+_VALID_DOCS = (
+    json.loads(structure_to_json(enumerate_ordered(3)[1])),
+    json.loads(matrix_from_sequence(5, 3, (1, 1, 2, 2, 3)).to_json()),
+    _REPORT,
+)
+#: replacements for one field of a valid document
+_FIELD_POOL = ([], [1], [3, 1, 2], 1e200, "a", [[1, 2], [2, 3]], [[[1]], 2])
+#: values of one eval point option
+_POINT_POOL = ("0.9,0.3", "0", "1", "-1,0", "1e200", "-1e300", "1e200,1e200", "a")
+_POINT_FLAGS = ("--u", "--v", "--x", "--y", "--yp", "--c")
+_EVAL_KINDS = ("trig", "quantum", "classical", "multiplicative", "rational")
+
+
+@st.composite
+def _one_field_replaced(draw):
+    doc = dict(draw(st.sampled_from(_VALID_DOCS)))
+    doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(_FIELD_POOL))
+    return json.dumps(doc)
+
+
+def _main_on_stdin(argv, text):
+    """Exit code, stdout and stderr of ``main(argv)`` reading ``text`` on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_one_field_replaced(), st.fixed_dictionaries({f: st.sampled_from(_POINT_POOL) for f in _POINT_FLAGS}))
+@example(json.dumps({**_VALID_DOCS[0], "alpha0": []}), {})  # an IndexError escaped main
+@example(json.dumps({**_VALID_DOCS[0], "gamma1": []}), {"--x": "1e200"})  # an OverflowError escaped main
+def test_every_command_keeps_the_exit_code_contract(text, point):
+    commands = [("eval", "--kind", kind, *(f"{f}={v}" for f, v in point.items())) for kind in _EVAL_KINDS]
+    commands += [
+        ("verify", "--suite", "unitarity", "--samples", "1"),
+        ("bundle-check",),
+        ("bundle-bd",),
+        ("oracle-compare", "--trials", "1"),
+        ("report",),
+    ]
+    for argv in commands:
+        code, out, err = _main_on_stdin((*argv, "--stdin"), text)
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        if out:
+            json.loads(out, parse_constant=_no_constant)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aybe.solutions import (
+    HARD_GUARD,
     PoleError,
     abc_parts,
     classical_r0,
@@ -306,6 +307,16 @@ def test_u_only_guard_hits_spectrum():
     r = u_only_r(a, c=1.0)
     with pytest.raises(PoleError):
         r(1.0)  # c*u = 1 equals a_1 - a_2
+
+
+def test_u_only_refuses_only_below_hard_guard():
+    r = u_only_r(np.diag([0.5, -0.5]), c=1.0)
+    near = 1.0 + 1e-10  # sigma_min of u + ad_a is |u - 1| here
+    assert HARD_GUARD < r.pole_distance(near) < 1e-8
+    # the coefficient of e_21 (x) e_12 is 1/(u + a_2 - a_1) = 1/(u - 1)
+    assert abs(r(near).coeffs[1, 0, 0, 1] * (near - 1.0) - 1.0) < 1e-6
+    with pytest.raises(PoleError):
+        r(1.0 + 0.5 * HARD_GUARD)
 
 
 def test_nilpotent_family():

@@ -330,6 +330,18 @@ def test_labels_must_be_integers():
             bad()
 
 
+@pytest.mark.parametrize("alpha0", [(), (1,), (3, 1, 2), 3, None])
+def test_alpha0_must_be_exactly_one_pair(alpha0):
+    bd = BDStructure(std(3), std(3), [(1, 2)])
+    with pytest.raises(InvalidStructure, match="one pair"):
+        OrderedBDStructure(bd, alpha0)
+    doc = json.loads(structure_to_json(OrderedBDStructure(bd, (3, 1))))
+    doc["alpha0"] = alpha0
+    if isinstance(alpha0, tuple):  # a JSON list
+        with pytest.raises(InvalidStructure, match="one pair"):
+            structure_from_json(json.dumps(doc))
+
+
 def test_json_declared_size_is_checked(corpus_n3):
     doc = json.loads(structure_to_json(corpus_n3[-1]))
     doc["n"] += 1

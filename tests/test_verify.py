@@ -17,6 +17,7 @@ from aybe.solutions import (
     rational_R,
     trigonometric_r,
     u_only_r,
+    x_pole_distance,
 )
 from aybe.structures import BDStructure, CyclicPermutation, OrderedBDStructure, enumerate_structures
 from aybe.tensors import Tensor2, perm_P, unit2
@@ -358,6 +359,21 @@ def test_suites_draw_the_samples_of_their_reference_guard_lists(monkeypatch, see
         for name, nvars, ref_ok, run in _stream_cases(obd, plan.guard_margin):
             want = plan.draw(nvars, ref_ok)
             assert _drawn(monkeypatch, run, plan) == want, (name, obd)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_abc_draws_the_samples_whose_evaluated_points_pass_the_x_guard(monkeypatch, seed, n):
+    # the closure equations read the parts at x, x', 1/x' and x x', and nowhere else
+    bd = enumerate_structures(n)[0]
+    obd = OrderedBDStructure(bd, min(bd.graph - bd.gamma2))
+    plan = SamplePlan(seed=seed, count=32, guard_margin=0.5)
+
+    def ok(z):
+        x, xp = z
+        return all(x_pole_distance(n, w) > 0.5 for w in (x, xp, 1.0 / xp, x * xp))
+
+    assert _drawn(monkeypatch, lambda p: residual_abc(obd, p), plan) == plan.draw(2, ok)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
