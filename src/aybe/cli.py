@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import bundles, solutions, structures, verify
-from .structures import InvalidStructure, OrderedBDStructure
+from .structures import ENUMERATE_N_MAX, InvalidStructure, OrderedBDStructure
 from .tensors import Tensor2
 
 _USAGE_ERROR = 2
@@ -52,7 +52,8 @@ def _checked(cast, ok, what: str):
 
 
 _count = _checked(int, lambda v: v >= 1, "at least 1")  # a sample or trial count
-_n_max = _checked(int, lambda v: 1 <= v <= 5, "between 1 and 5")  # largest enumerated set size
+#: largest set size that verify enumerates when no structure is given
+_n_max = _checked(int, lambda v: 1 <= v <= ENUMERATE_N_MAX, f"between 1 and {ENUMERATE_N_MAX}")
 #: largest N that eval builds a family for: its N^4 complex coefficients take 16 MiB
 _EVAL_N_MAX = 32
 _eval_n = _checked(int, lambda v: 1 <= v <= _EVAL_N_MAX, f"between 1 and {_EVAL_N_MAX}")
@@ -184,6 +185,12 @@ def _suite_runners(plan, tol, u_fixed):
 def _cmd_verify(args) -> int:
     plan = verify.SamplePlan(seed=args.seed, count=args.samples)
     u_fixed = verify.U_FIXED if args.u_fixed is None else _parse_complex(args.u_fixed)
+    if max(abs(u_fixed.real), abs(u_fixed.imag)) > solutions.RECT:
+        # far outside the sampling square, e^u keeps no digits of the family's value
+        raise CliError(
+            f"--u-fixed {args.u_fixed!r} lies outside the sampling square: "
+            f"its real and imaginary parts must be in [-{solutions.RECT}, {solutions.RECT}]"
+        )
     runners = _suite_runners(plan, args.tol, u_fixed)
     names = list(runners) if args.suite == "all" else [args.suite]
     unknown = [s for s in names if s not in runners]

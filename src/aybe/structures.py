@@ -34,6 +34,9 @@ __all__ = [
 
 Pair = tuple[int, int]
 
+#: largest set size that ``enumerate_structures`` accepts
+ENUMERATE_N_MAX = 5
+
 
 class InvalidStructure(ValueError):
     """A named violation of the structure invariants."""
@@ -302,14 +305,14 @@ def _transitive_cycles(n: int):
 
 
 def enumerate_structures(n: int) -> list[BDStructure]:
-    """All valid structures with C0 the standard cycle, 1 <= n <= 5.
+    """All valid structures with C0 the standard cycle, 1 <= n <= ENUMERATE_N_MAX.
 
     C ranges over all transitive cycles, Gamma1 over all proper subsets of
     the graph of C0 whose image under C x C stays in the graph: each is a
     distinct valid structure.  Relabelings are not quotiented out.
     """
-    if not 1 <= n <= 5:
-        raise ValueError("enumeration supported for 1 <= n <= 5 only")
+    if not 1 <= n <= ENUMERATE_N_MAX:
+        raise ValueError(f"enumeration supported for 1 <= n <= {ENUMERATE_N_MAX} only")
     c0 = CyclicPermutation.standard(n)
     graph = sorted((s, c0(s)) for s in range(1, n + 1))
     out = []

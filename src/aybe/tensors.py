@@ -9,7 +9,10 @@ matters).  Two flattenings of the same array are used throughout:
 * pairing_matrix -- rows from the first factor (p, q), columns from the
   second (r, s); its invertibility is the nondegeneracy of the tensor.
 
-Sizes stay tiny (N <= ~12), so everything is dense and double precision.
+Everything is dense and double precision.  The CLI bounds the sizes:
+``verify`` takes N <= 16, where one N^3 x N^3 operator in A (x) A (x) A
+takes 256 MiB, and ``eval`` takes N <= 32, where the N^4 coefficients of
+one value in A (x) A take 16 MiB.
 """
 
 from __future__ import annotations
@@ -64,13 +67,6 @@ class Tensor2:
     @classmethod
     def zero(cls, n: int) -> "Tensor2":
         return cls(n, np.zeros((n, n, n, n), dtype=complex))
-
-    @classmethod
-    def from_op_matrix(cls, n: int, op) -> "Tensor2":
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (n * n, n * n):
-            raise ValueError("operator flattening has wrong shape")
-        return cls(n, op.reshape(n, n, n, n).transpose(0, 2, 1, 3))
 
     def op_matrix(self) -> np.ndarray:
         """Operator on C^N (x) C^N; row (p, r), column (q, s)."""

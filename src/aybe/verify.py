@@ -2,19 +2,18 @@
 
 Each suite draws a deterministic sequence of complex sample tuples,
 evaluates the identity, and reports the maximum absolute coefficient of
-left minus right.  Most identities list their evaluation points once, as
-(family, arguments) pairs of a sample: the same list rejects any tuple
-that brings one of its points closer than the guard margin to a declared
-pole of its family, and supplies the values the residual contracts.
-The a/b/c closure, the s-identity and the h-equation, whose evaluations
-are not plain family calls, guard by hand exactly the points they evaluate.
-A candidate is kept only when every distance is strictly above the margin.
-Aggregation is a NaN-propagating max, so a NaN or infinite sample anywhere
-fails the report, and reports are independent of evaluation order;
-identical seeds give bit-identical reports.
+left minus right.  Every identity but the scalar h-equation, which guards
+by hand, lists its evaluation points once, as (RFun, arguments) pairs of
+a sample (the a/b/c closure's RFun gives its parts at x, the s-identity's
+its target scalar times 1 (x) 1): that list rejects any tuple with a point
+within the guard margin of a declared pole, and supplies the values the
+residual contracts.  Aggregation is a NaN-propagating max, so a NaN or
+infinite sample anywhere fails the report, and reports are independent of
+evaluation order; identical seeds give bit-identical reports.
 
-Each product in A (x) A (x) A is formed by embedding its leftmost factor
-as a dense N^3 x N^3 operator and applying every further factor with
+Products in A (x) A (x) A are signed tuples of (tensor, slots) factors,
+and ``_sum`` alone contracts them: it embeds each leftmost factor as a
+dense N^3 x N^3 operator and applies every further factor with
 ``rmul_embed``, which never builds the embedded operand.
 """
 
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solutions import (
+    Guard,
     RFun,
     SamplePlan,
     SamplerExhausted,
@@ -112,16 +112,26 @@ class Report:
         return f"Report({self.suite}: max={self.max_residual:.3g} tol={self.tol:g} {flag})"
 
 
-def _op(t: Tensor2, slots) -> np.ndarray:
-    return embed(t, slots).op_matrix()
+def _sum(*products) -> np.ndarray:
+    """Operator of the signed sum of ``products``, each ``(sign, (tensor, slots), ...)``.
 
-
-def _prod(first, *rest) -> np.ndarray:
-    """Operator of the product of embedded factors, each a (tensor, slots) pair."""
-    out = _op(*first)
-    for t, slots in rest:
-        out = rmul_embed(out, t, slots)
-    return out
+    Consecutive products with one leftmost factor share its operator, kept only
+    until the last of them starts, and are summed before they join the total.
+    """
+    total, run, shared = 0, None, None
+    for k, (sign, left, *rest) in enumerate(products):
+        term = embed(*left).op_matrix() if shared is None else shared
+        shared = term if k + 1 < len(products) and products[k + 1][1] == left else None
+        for t, slots in rest:
+            term = rmul_embed(term, t, slots)
+        if run is None:
+            run, run_sign = term, sign
+        else:
+            run = run + term if sign == run_sign else run - term
+        if shared is None:  # the run ends and joins the total
+            total = total + run if run_sign > 0 else total - run
+            run = term = None
+    return total
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -133,12 +143,12 @@ def _worst(*values: float) -> float:
     return float(np.max(values))
 
 
-def _aybe_lhs(a12, a13, a23, b12, b13, b23) -> np.ndarray:
-    """Operator of a12 a13 - a23 b12 + b13 b23, the shape of every associative equation."""
+def _aybe(a12, a13, a23, b12, b13, b23) -> tuple:
+    """The products of a12 a13 - a23 b12 + b13 b23, the shape of every associative equation."""
     return (
-        _prod((a12, (1, 2)), (a13, (1, 3)))
-        - _prod((a23, (2, 3)), (b12, (1, 2)))
-        + _prod((b13, (1, 3)), (b23, (2, 3)))
+        (1, (a12, (1, 2)), (a13, (1, 3))),
+        (-1, (a23, (2, 3)), (b12, (1, 2))),
+        (1, (b13, (1, 3)), (b23, (2, 3))),
     )
 
 
@@ -154,7 +164,8 @@ def _run_at(suite, plan, tol, nvars, points, residual) -> Report:
     ``points(*z)`` lists the (family, args) pairs the identity evaluates at
     sample z.  A candidate is kept if every pair keeps
     ``family.pole_distance(*args)`` above the guard margin; ``residual``
-    receives the values ``family(*args)`` in order.
+    receives the values ``family(*args)`` in order and contracts any triple
+    product through ``_sum``.  Only the scalar h-equation guards by hand.
     """
     margin = plan.guard_margin
 
@@ -188,7 +199,7 @@ def residual_aybe(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT
         return [(r, p[: r.arity]) for p in pairs]
 
     return _run_at(
-        "aybe", plan, tol, 2 * r.arity, points, lambda *t: _max_abs(_aybe_lhs(*t))
+        "aybe", plan, tol, 2 * r.arity, points, lambda *t: _max_abs(_sum(*_aybe(*t)))
     )
 
 
@@ -221,7 +232,7 @@ def residual_qybe(
 
     def res(r12, r13, r23):
         a, b, c = (r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))
-        return _max_abs(_prod(a, b, c) - _prod(c, b, a))
+        return _max_abs(_sum((1, a, b, c), (-1, c, b, a)))
 
     return _run_at("qybe", plan, tol, 2, points, res)
 
@@ -253,14 +264,8 @@ def residual_cybe(r0: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAUL
 
     def res(r12, r13, r23):
         a, b, c = (r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))
-        # [a, b] - [c, a] + [b, c], grouped by left factor so one operator is live at a time
-        left = _op(*a)
-        t = rmul_embed(left, *b) + rmul_embed(left, *c)
-        left = _op(*b)
-        t += rmul_embed(left, *c) - rmul_embed(left, *a)
-        left = _op(*c)
-        t -= rmul_embed(left, *a) + rmul_embed(left, *b)
-        return _max_abs(t)
+        # [a, b] - [c, a] + [b, c], ordered by left factor so that each run shares its operator
+        return _max_abs(_sum((1, a, b), (1, a, c), (1, b, c), (-1, b, a), (-1, c, a), (-1, c, b)))
 
     return _run_at("cybe", plan, tol, 2, lambda v, vp: _v_points(r0, v, vp), res)
 
@@ -290,7 +295,7 @@ def residual_aybe2(rm: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAU
 
     def res(a12, a13, a23, b12, b13, b23, inv21):
         unit = (swap_factors(b12) + inv21).max_abs()
-        return _worst(_max_abs(_aybe_lhs(a12, a13, a23, b12, b13, b23)), unit)
+        return _worst(_max_abs(_sum(*_aybe(a12, a13, a23, b12, b13, b23))), unit)
 
     return _run_at("aybe2", plan, tol, 5, points, res)
 
@@ -307,33 +312,31 @@ def residual_abc(
     (iii) the quadratic b relation, (iv) the mixed a/c relation.
     ``parts`` may substitute another decomposition, e.g. for mutation tests.
     """
+    guard = Guard("x, x^N - 1", (0,), lambda x: x_pole_distance(obd.n, x))
+    at = RFun(obd.n, "abc_parts", 1, lambda x: parts(obd, x), (guard,))
+
     def points(x, xp):
-        """The four x at which the equations read the parts."""
-        return (x, xp, 1.0 / xp, x * xp)
+        """The parts at the four x the equations read."""
+        return [(at, (w,)) for w in (x, xp, 1.0 / xp, x * xp)]
 
-    def ok(z):
-        return all(x_pole_distance(obd.n, w) > plan.guard_margin for w in points(*z))
-
-    def res(x, xp):
-        (ax, bx, cx), (axp, bxp, cxp), (a_inv_xp, _, _), (a_prod, b_prod, c_prod) = (
-            parts(obd, w) for w in points(x, xp)
-        )
-        r1 = _max_abs(_aybe_lhs(a_inv_xp, a_prod, a_prod, ax, ax, axp))
-        r2 = _max_abs(_prod((bx, (1, 2)), (bxp, (1, 3))))
-        r3 = _max_abs(
-            _prod((bx, (1, 3)), (bxp, (2, 3)))
-            - _prod((bxp, (2, 1)), (b_prod, (1, 3)))
-            - _prod((b_prod, (2, 3)), (bx, (1, 2)))
-        )
-        r4 = _max_abs(
-            _prod((cx, (1, 3)), (axp, (2, 3)))
-            + _prod((a_inv_xp, (1, 2)), (c_prod, (1, 3)))
-            - _prod((c_prod, (2, 3)), (ax, (1, 2)))
-            + _prod((ax, (1, 3)), (cxp, (2, 3)))
-        )
+    def res(*parts_at):
+        (ax, bx, cx), (axp, bxp, cxp), (a_inv_xp, _, _), (a_prod, b_prod, c_prod) = parts_at
+        r1 = _max_abs(_sum(*_aybe(a_inv_xp, a_prod, a_prod, ax, ax, axp)))
+        r2 = _max_abs(_sum((1, (bx, (1, 2)), (bxp, (1, 3)))))
+        r3 = _max_abs(_sum(
+            (1, (bx, (1, 3)), (bxp, (2, 3))),
+            (-1, (bxp, (2, 1)), (b_prod, (1, 3))),
+            (-1, (b_prod, (2, 3)), (bx, (1, 2))),
+        ))
+        r4 = _max_abs(_sum(
+            (1, (cx, (1, 3)), (axp, (2, 3))),
+            (1, (a_inv_xp, (1, 2)), (c_prod, (1, 3))),
+            (-1, (c_prod, (2, 3)), (ax, (1, 2))),
+            (1, (ax, (1, 3)), (cxp, (2, 3))),
+        ))
         return _worst(r1, r2, r3, r4)
 
-    return _run("abc", plan, tol, 2, ok, res)
+    return _run_at("abc", plan, tol, 2, points, res)
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +364,14 @@ def residual_s_identity(
     scalar = scalar or _trig_s_scalar
     s = s_product(r)
     one = unit2(r.n)
+    # the target scalar has its own poles at u, v = 0 for trig forms
+    guard = Guard("u, v", (0, 1), lambda u, v: min(exp_pole_distance(u), exp_pole_distance(v)))
+    target = RFun(r.n, "s-identity target", 2, lambda u, v: complex(scalar(u, v)) * one, (guard,))
 
-    def res(u, v):
-        return (s(u, v) - complex(scalar(u, v)) * one).max_abs()
+    def res(at, want):
+        return (at - want).max_abs()
 
-    def ok(z):
-        u, v = z
-        if s.pole_distance(u, v) <= plan.guard_margin:
-            return False
-        # the target scalar has its own poles at u, v = 0 for trig forms
-        return min(exp_pole_distance(u), exp_pole_distance(v)) > plan.guard_margin
-
-    return _run("s-identity", plan, tol, 2, ok, res)
+    return _run_at("s-identity", plan, tol, 2, lambda *z: [(s, z), (target, z)], res)
 
 
 def residual_cubic(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL) -> Report:
@@ -402,12 +401,12 @@ def residual_cubic(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAUL
         ]
 
     def res(a12, a13, a23, b23, b13, b12, r13, s23, s23_neg, s12_neg, s12):
-        e1 = (
-            _prod((a12, (1, 2)), (a13, (1, 3)), (a23, (2, 3)))
-            - _prod((b23, (2, 3)), (b13, (1, 3)), (b12, (1, 2)))
+        e1 = _sum(
+            (1, (a12, (1, 2)), (a13, (1, 3)), (a23, (2, 3))),
+            (-1, (b23, (2, 3)), (b13, (1, 3)), (b12, (1, 2))),
         )
-        e2 = _prod((s23, (2, 3)), (r13, (1, 3))) - _prod((r13, (1, 3)), (s23_neg, (2, 3)))
-        e3 = _prod((r13, (1, 3)), (s12_neg, (1, 2))) - _prod((s12, (1, 2)), (r13, (1, 3)))
+        e2 = _sum((1, (s23, (2, 3)), (r13, (1, 3))), (-1, (r13, (1, 3)), (s23_neg, (2, 3))))
+        e3 = _sum((1, (r13, (1, 3)), (s12_neg, (1, 2))), (-1, (s12, (1, 2)), (r13, (1, 3))))
         return _worst(_max_abs(e1 - e2), _max_abs(e2 - e3))
 
     return _run_at("cubic", plan, tol, 6, points, res)
@@ -430,8 +429,8 @@ def residual_laurent_identity(
         return _v_points(r0, v, vp) + _v_points(r1, v, vp)
 
     def res(a12, a13, a23, b12, b13, b23):
-        lhs = _aybe_lhs(a12, a13, a23, a12, a13, a23)
-        rhs = _op(b12, (1, 2)) + _op(b13, (1, 3)) + _op(b23, (2, 3))
+        lhs = _sum(*_aybe(a12, a13, a23, a12, a13, a23))
+        rhs = _sum((1, (b12, (1, 2))), (1, (b13, (1, 3))), (1, (b23, (2, 3))))
         return _max_abs(lhs - rhs)
 
     return _run_at("laurent-identity", plan, tol, 2, points, res)

@@ -397,6 +397,21 @@ def test_verify_defaults_are_the_library_defaults(tmp_path, capsys):
     assert code == 0 and json.loads(out)["reports"] == [json.loads(want.to_json())]
 
 
+@pytest.mark.filterwarnings("error")  # 1e200 used to warn in numpy and report a null residual
+@pytest.mark.parametrize("u_fixed,code", [("1e200", 2), ("0,1e200", 2), ("2.5", 2), ("2,-2", 0)])
+def test_u_fixed_must_lie_in_the_sampling_square(tmp_path, capsys, u_fixed, code):
+    path = tmp_path / "bd.json"
+    path.write_text(structure_to_json(enumerate_structures(3)[5]))
+    got, out, err = run(
+        capsys, "verify", "--suite", "qybe", "--samples", "2", "--structure", str(path), f"--u-fixed={u_fixed}"
+    )
+    assert got == code
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and "sampling square" in json.loads(err)["error"]
+    else:
+        assert err == "" and json.loads(out)["pass"] is True
+
+
 def test_eval_at_pole_is_error(tmp_path, capsys):
     bd = enumerate_structures(2)[0]
     path = tmp_path / "bd.json"
@@ -642,6 +657,10 @@ _FIELD_POOL = ([], [1], [3, 1, 2], 1e200, "a", [[1, 2], [2, 3]], [[[1]], 2])
 #: values of one eval point option
 _POINT_POOL = ("0.9,0.3", "0", "1", "-1,0", "1e200", "-1e300", "1e200,1e200", "a")
 _POINT_FLAGS = ("--u", "--v", "--x", "--y", "--yp", "--c")
+#: values of enumerate's --n, in and out of its range
+_N_POOL = st.one_of(st.integers(-2, 7).map(str), st.sampled_from(("", "a", "2.5", "1e200", "9" * 30)))
+#: values of verify's --u-fixed: the point pool and the edges of the sampling square
+_U_FIXED_POOL = st.sampled_from(_POINT_POOL + ("2,-2", "-2,2.0001", "2.5", "0,1e200"))
 _EVAL_KINDS = ("trig", "quantum", "classical", "multiplicative", "rational")
 
 
@@ -662,20 +681,29 @@ def _main_on_stdin(argv, text):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(_one_field_replaced(), st.fixed_dictionaries({f: st.sampled_from(_POINT_POOL) for f in _POINT_FLAGS}))
-@example(json.dumps({**_VALID_DOCS[0], "alpha0": []}), {})  # an IndexError escaped main
-@example(json.dumps({**_VALID_DOCS[0], "gamma1": []}), {"--x": "1e200"})  # an OverflowError escaped main
-def test_every_command_keeps_the_exit_code_contract(text, point):
+@given(
+    _one_field_replaced(),
+    st.fixed_dictionaries({f: st.sampled_from(_POINT_POOL) for f in _POINT_FLAGS}),
+    _N_POOL,
+    _U_FIXED_POOL,
+)
+@example(json.dumps({**_VALID_DOCS[0], "alpha0": []}), {}, "3", "0.9,0.2")  # an IndexError escaped main
+# an OverflowError escaped main
+@example(json.dumps({**_VALID_DOCS[0], "gamma1": []}), {"--x": "1e200"}, "3", "0.9,0.2")
+@example(json.dumps(_VALID_DOCS[0]), {}, "6", "1e200")  # --u-fixed 1e200 printed warnings and a null
+def test_every_command_keeps_the_exit_code_contract(text, point, n, u_fixed):
     commands = [("eval", "--kind", kind, *(f"{f}={v}" for f, v in point.items())) for kind in _EVAL_KINDS]
     commands += [
         ("verify", "--suite", "unitarity", "--samples", "1"),
+        ("verify", "--suite", "qybe", "--samples", "1", f"--u-fixed={u_fixed}"),
         ("bundle-check",),
         ("bundle-bd",),
         ("oracle-compare", "--trials", "1"),
         ("report",),
     ]
-    for argv in commands:
-        code, out, err = _main_on_stdin((*argv, "--stdin"), text)
+    runs = [(*argv, "--stdin") for argv in commands] + [("enumerate", f"--n={n}")]
+    for argv in runs:
+        code, out, err = _main_on_stdin(argv, text)
         assert code in (0, 1, 2) and "Traceback" not in err, argv
         if out:
             json.loads(out, parse_constant=_no_constant)

@@ -226,8 +226,9 @@ def test_sym_commutator(rng):
 def test_flattenings_round_trip(rng):
     n = 3
     t = rand_tensor2(rng, n)
-    back_op = Tensor2.from_op_matrix(n, t.op_matrix())
-    assert np.array_equal(back_op.coeffs, t.coeffs)
+    op = t.op_matrix()
+    for p, q, r, s in np.ndindex(t.coeffs.shape):
+        assert op[p * n + r, q * n + s] == t.coeffs[p, q, r, s]
     assert np.array_equal(t.pairing_matrix().reshape((n,) * 4), t.coeffs)
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from aybe import verify
 from aybe.solutions import (
     MAX_REJECTS,
     RFun,
@@ -20,7 +21,7 @@ from aybe.solutions import (
     x_pole_distance,
 )
 from aybe.structures import BDStructure, CyclicPermutation, OrderedBDStructure, enumerate_structures
-from aybe.tensors import Tensor2, perm_P, unit2
+from aybe.tensors import Tensor2, embed, perm_P, unit2
 from aybe.verify import (
     Report,
     SamplePlan,
@@ -397,3 +398,48 @@ def test_one_variable_suites_draw_the_samples_of_their_reference_guard_lists(
     plan = SamplePlan(seed=seed, count=32, guard_margin=0.5)
     want = plan.draw(nvars, _ref_ok(r, ref, plan.guard_margin))
     assert _drawn(monkeypatch, lambda p: suite(r, p), plan) == want
+
+
+# ---------------------------------------------------------------------------
+# the one contraction, against dense products
+# ---------------------------------------------------------------------------
+
+SLOT_PAIRS = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
+
+
+def _dense(t, slots):
+    return embed(t, slots).op_matrix()
+
+
+def _dense_sum(*products):
+    """The signed sum of ``products`` as full N^3 x N^3 matrix products."""
+    total = 0
+    for sign, *factors in products:
+        term = _dense(*factors[0])
+        for factor in factors[1:]:
+            term = term @ _dense(*factor)
+        total = total + sign * term
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sum_matches_dense_products(monkeypatch, n):
+    rng = np.random.default_rng(2600 + n)
+    shape = (n,) * 4
+    a, b, c = (Tensor2(n, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(3))
+    cases = [
+        [(sign, (a, left), (b, right))]
+        for left in SLOT_PAIRS for right in SLOT_PAIRS for sign in (1, -1)
+    ]
+    A, B, C = (a, (2, 1)), (b, (1, 3)), (c, (3, 2))
+    # one-factor and three-factor products, and runs of three and two that share
+    # their left factor, the second of them starting with a minus sign
+    runs = [(1, A), (-1, A, B, C), (1, A, C), (-1, B, A), (-1, C), (1, C, A)]
+    for products in cases + [runs]:
+        want = _dense_sum(*products)
+        rel = np.abs(verify._sum(*products) - want).max() / np.abs(want).max()
+        assert rel < 1e-13, products
+    embedded = []
+    monkeypatch.setattr(verify, "embed", lambda t, slots: embedded.append(slots) or embed(t, slots))
+    verify._sum(*runs)
+    assert embedded == [(2, 1), (1, 3), (3, 2)]  # one operator per run
