@@ -257,23 +257,16 @@ def _cmd_bundle_bd(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     m = _load(args, "matrix", bundles.SplittingMatrix.from_json)
-    plan = verify.SamplePlan(seed=args.seed, count=args.trials)
-    guards = solutions.multiplicative_guards(m.n_rows)
-    triples = plan.draw(3, lambda z: min(g.distance(*z) for g in guards) > plan.guard_margin)
-    devs = [
-        bundles.massey_closed(m, x, y, yp).max_abs_diff(bundles.massey_oracle(m, x, y, yp))
-        for x, y, yp in triples
-    ]
-    worst = float(np.max(devs))  # NaN if any trial is NaN, where max() drops a later one
+    rep = verify.residual_oracle(m, verify.SamplePlan(seed=args.seed, count=args.trials), args.tol)
     doc = {
-        "trials": len(devs),
-        "seed": args.seed,
-        "max_deviation": verify.finite_or_null(worst),
-        "tol": args.tol,
-        "pass": worst <= args.tol,
+        "trials": len(rep.per_sample),
+        "seed": rep.plan.seed,
+        "max_deviation": verify.finite_or_null(rep.max_residual),
+        "tol": rep.tol,
+        "pass": rep.passed,
     }
     _emit(args, json.dumps(doc, sort_keys=True))
-    return 0 if doc["pass"] else 1
+    return 0 if rep.passed else 1
 
 
 #: JSON types of the fields of one stored report; null stands for a non-finite number
@@ -398,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle-compare", help="closed form vs gluing-system solve")
     sp.add_argument("--trials", type=_count, default=16)
     common(sp, "seed", "tol", "stdin", "matrix")
-    sp.set_defaults(fn=_cmd_oracle_compare, tol=1e-9)
+    sp.set_defaults(fn=_cmd_oracle_compare, tol=verify.ORACLE_TOL)
 
     sp = sub.add_parser("report", help="render a stored report")
     sp.add_argument("--in", dest="infile", default=None)

@@ -72,7 +72,7 @@ __all__ = [
     "orbit_symmetry",
 ]
 
-#: below this pole distance evaluation refuses to proceed
+#: at or below this pole distance evaluation refuses to proceed
 HARD_GUARD = 1e-12
 #: rejected candidates after which a sample plan gives up
 MAX_REJECTS = 10_000
@@ -117,7 +117,7 @@ class RFun:
         return min(g.distance(*args) for g in self.guards)
 
     def __call__(self, *args) -> Tensor2:
-        if self.pole_distance(*args) < HARD_GUARD:
+        if self.pole_distance(*args) <= HARD_GUARD:
             raise PoleError(f"{self.kind} evaluated at a pole: args={args}")
         return self._fn(*args)
 
@@ -331,7 +331,7 @@ def abc_parts(obd: OrderedBDStructure, x) -> tuple[Tensor2, Tensor2, Tensor2]:
     table = _abc_table(obd)
     n = obd.n
     x = complex(x)
-    if x_pole_distance(n, x) < HARD_GUARD:
+    if x_pole_distance(n, x) <= HARD_GUARD:
         raise PoleError(f"abc parts evaluated at a pole: x={x}")
     w = table.weights(x)
     cuts = table.cuts
@@ -461,7 +461,7 @@ def u_only_r(a, c=1.0) -> RFun:
 
     Each evaluation solves the defining linear equation for all matrix
     units at once; the guard is the smallest singular value of the
-    operator w id + ad_a, which ``RFun`` refuses below ``HARD_GUARD``.
+    operator w id + ad_a, which ``RFun`` refuses at or below ``HARD_GUARD``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -2,14 +2,16 @@
 
 Each suite draws a deterministic sequence of complex sample tuples,
 evaluates the identity, and reports the maximum absolute coefficient of
-left minus right.  Every identity but the scalar h-equation, which guards
-by hand, lists its evaluation points once, as (RFun, arguments) pairs of
-a sample (the a/b/c closure's RFun gives its parts at x, the s-identity's
-its target scalar times 1 (x) 1): that list rejects any tuple with a point
-within the guard margin of a declared pole, and supplies the values the
-residual contracts.  Aggregation is a NaN-propagating max, so a NaN or
-infinite sample anywhere fails the report, and reports are independent of
-evaluation order; identical seeds give bit-identical reports.
+left minus right.  Every identity lists its evaluation points once, as
+(RFun, arguments) pairs of a sample (the a/b/c closure's RFun gives its
+parts at x, the s-identity's its target scalar times 1 (x) 1, the
+h-equation's the scalars h(w) and h'(w), the oracle comparison's the two
+Massey maps): that list rejects any tuple with a point within the guard
+margin of a declared pole, and supplies the values the residual
+contracts.  ``_run_at`` is the one runner and ``Report`` the one
+aggregation, a NaN-propagating max, so a NaN or infinite sample anywhere
+fails the report, and reports are independent of evaluation order;
+identical seeds give bit-identical reports.
 
 Products in A (x) A (x) A are signed tuples of (tensor, slots) factors,
 and ``_sum`` alone contracts them: it embeds each leftmost factor as a
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bundles
 from .solutions import (
     Guard,
     RFun,
@@ -34,6 +37,7 @@ from .solutions import (
     exp_pole_distance,
     laurent_r0,
     laurent_r1,
+    multiplicative_guards,
     s_product,
     x_pole_distance,
 )
@@ -56,15 +60,18 @@ __all__ = [
     "residual_h_equation",
     "residual_symmetry",
     "residual_laurent_identity",
+    "residual_oracle",
     "perturb",
     "finite_or_null",
     "DEFAULT_TOL",
     "EXTRACTION_TOL",
+    "ORACLE_TOL",
     "U_FIXED",
 ]
 
 DEFAULT_TOL = 1e-8
 EXTRACTION_TOL = 1e-5
+ORACLE_TOL = 1e-9
 #: the fixed first argument at which the QYBE is checked in v
 U_FIXED = 0.9 + 0.2j
 
@@ -152,30 +159,23 @@ def _aybe(a12, a13, a23, b12, b13, b23) -> tuple:
     )
 
 
-def _run(suite, plan, tol, nvars, ok, residual) -> Report:
-    samples = plan.draw(nvars, ok)
-    per = tuple(float(residual(*z)) for z in samples)
-    return Report(suite, plan, per, tol)
-
-
 def _run_at(suite, plan, tol, nvars, points, residual) -> Report:
-    """``_run`` for an identity that evaluates RFun families at listed points.
+    """Report of an identity that evaluates RFun families at listed points.
 
     ``points(*z)`` lists the (family, args) pairs the identity evaluates at
     sample z.  A candidate is kept if every pair keeps
     ``family.pole_distance(*args)`` above the guard margin; ``residual``
     receives the values ``family(*args)`` in order and contracts any triple
-    product through ``_sum``.  Only the scalar h-equation guards by hand.
+    product through ``_sum``.
     """
     margin = plan.guard_margin
 
     def keep(z):
         return all(f.pole_distance(*args) > margin for f, args in points(*z))
 
-    def evaluate(*z):
-        return residual(*(f(*args) for f, args in points(*z)))
-
-    return _run(suite, plan, tol, nvars, keep, evaluate)
+    samples = plan.draw(nvars, keep)
+    per = tuple(float(residual(*(f(*args) for f, args in points(*z)))) for z in samples)
+    return Report(suite, plan, per, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +226,13 @@ def residual_qybe(
     R: RFun, u_fixed=U_FIXED, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL
 ) -> Report:
     """Quantum Yang-Baxter residual in v at fixed u."""
+    for g in R.guards:
+        # a guard on u alone would reject every v, so the draw could only give up
+        if g.slots == (0,) and g.distance(u_fixed, 0.0) <= plan.guard_margin:
+            raise ValueError(
+                f"u_fixed = {u_fixed} lies within the guard margin {plan.guard_margin} "
+                f"of R's pole {g.name!r}; no v can be drawn"
+            )
 
     def points(v, vp):
         return [(R, (u_fixed, v)), (R, (u_fixed, v + vp)), (R, (u_fixed, vp))]
@@ -337,6 +344,17 @@ def residual_abc(
         return _worst(r1, r2, r3, r4)
 
     return _run_at("abc", plan, tol, 2, points, res)
+
+
+def residual_oracle(m, plan: SamplePlan = SamplePlan(), tol: float = ORACLE_TOL) -> Report:
+    """Deviation of the closed Massey map of splitting matrix ``m`` from the gluing-system oracle."""
+    # each map is looked up in bundles per call, so that a substituted one is the one compared
+    guards = multiplicative_guards(m.n_rows)
+    closed = RFun(m.n_rows, "massey_closed", 3, lambda *z: bundles.massey_closed(m, *z), guards)
+    oracle = RFun(m.n_rows, "massey_oracle", 3, lambda *z: bundles.massey_oracle(m, *z), guards)
+    return _run_at(
+        "oracle", plan, tol, 3, lambda *z: [(closed, z), (oracle, z)], lambda a, b: a.max_abs_diff(b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +487,16 @@ def residual_h_equation(
             raise ValueError(f"unknown h form {h_kind!r}")
         h, h_prime = _H_FORMS[h_kind]
 
-    def ok(z):
-        v1, v2, v3 = z
-        # w = 0 is one of the zeros of e^w - 1
-        return all(
-            exp_pole_distance(w) > plan.guard_margin
-            for w in (v1 - v2, v2 - v3, v3 - v1)
-        )
+    # w = 0 is one of the zeros of e^w - 1
+    hw = RFun(1, "h, h'", 1, lambda w: (h(w), h_prime(w)), (Guard("exp(w)-1", (0,), exp_pole_distance),))
 
-    def res(v1, v2, v3):
-        d = (v1 - v2, v2 - v3, v3 - v1)
-        total = sum(h(w) for w in d) ** 2 + sum(h_prime(w) for w in d)
-        return abs(total)
+    def points(v1, v2, v3):
+        return [(hw, (w,)) for w in (v1 - v2, v2 - v3, v3 - v1)]
 
-    return _run(f"h-equation[{h_kind}]", plan, tol, 3, ok, res)
+    def res(*at):
+        return abs(sum(value for value, _ in at) ** 2 + sum(slope for _, slope in at))
+
+    return _run_at(f"h-equation[{h_kind}]", plan, tol, 3, points, res)
 
 
 def residual_symmetry(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -412,6 +413,24 @@ def test_u_fixed_must_lie_in_the_sampling_square(tmp_path, capsys, u_fixed, code
         assert err == "" and json.loads(out)["pass"] is True
 
 
+@pytest.mark.filterwarnings("error")  # 0 used to warn twice in numpy before the draw gave up
+@pytest.mark.parametrize("u_fixed,code", [("0", 2), ("0.01", 2), ("0.04,0.02", 2), ("0.06", 0)])
+def test_u_fixed_at_the_u_pole_of_R_is_usage_error(tmp_path, capsys, u_fixed, code):
+    # within the guard margin of e^u = 1 every v is rejected, so u_fixed itself is refused
+    path = tmp_path / "bd.json"
+    path.write_text(structure_to_json(enumerate_structures(3)[5]))
+    got, out, err = run(
+        capsys, "verify", "--suite", "qybe", "--samples", "2", "--structure", str(path), f"--u-fixed={u_fixed}"
+    )
+    assert got == code
+    if code == 2:
+        message = json.loads(err)["error"]
+        assert out == "" and len(err.splitlines()) == 1
+        assert "u_fixed" in message and "exp(u)-1" in message
+    else:
+        assert err == "" and json.loads(out)["pass"] is True
+
+
 def test_eval_at_pole_is_error(tmp_path, capsys):
     bd = enumerate_structures(2)[0]
     path = tmp_path / "bd.json"
@@ -672,12 +691,24 @@ def _one_field_replaced(draw):
 
 
 def _main_on_stdin(argv, text):
-    """Exit code, stdout and stderr of ``main(argv)`` reading ``text`` on stdin."""
+    """Exit code, stdout and stderr of ``main(argv)`` reading ``text`` on stdin; a
+    warning counts as stderr text, as it would in a process of its own."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
+
+
+def _one_diagnostic(err: str) -> bool:
+    """Whether stderr is silent, one JSON line naming the error, or argparse's usage
+    message for an option it rejects, which ends in its one ``error:`` line."""
+    lines = err.splitlines()
+    if lines and lines[0].startswith("usage: aybe"):
+        return lines[-1].startswith("aybe ") and ": error: " in lines[-1]
+    return not lines or (len(lines) == 1 and list(json.loads(err)) == ["error"])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -691,6 +722,7 @@ def _main_on_stdin(argv, text):
 # an OverflowError escaped main
 @example(json.dumps({**_VALID_DOCS[0], "gamma1": []}), {"--x": "1e200"}, "3", "0.9,0.2")
 @example(json.dumps(_VALID_DOCS[0]), {}, "6", "1e200")  # --u-fixed 1e200 printed warnings and a null
+@example(json.dumps(_VALID_DOCS[0]), {}, "3", "0")  # --u-fixed 0 printed warnings before its error
 def test_every_command_keeps_the_exit_code_contract(text, point, n, u_fixed):
     commands = [("eval", "--kind", kind, *(f"{f}={v}" for f, v in point.items())) for kind in _EVAL_KINDS]
     commands += [
@@ -705,5 +737,6 @@ def test_every_command_keeps_the_exit_code_contract(text, point, n, u_fixed):
     for argv in runs:
         code, out, err = _main_on_stdin(argv, text)
         assert code in (0, 1, 2) and "Traceback" not in err, argv
+        assert _one_diagnostic(err), (argv, err)
         if out:
             json.loads(out, parse_constant=_no_constant)

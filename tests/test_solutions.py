@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aybe.bundles import bd_from_matrix, massey_tensor, matrix_from_sequence
 from aybe.solutions import (
     HARD_GUARD,
     PoleError,
@@ -317,6 +318,21 @@ def test_u_only_refuses_only_below_hard_guard():
     assert abs(r(near).coeffs[1, 0, 0, 1] * (near - 1.0) - 1.0) < 1e-6
     with pytest.raises(PoleError):
         r(1.0 + 0.5 * HARD_GUARD)
+
+
+def test_every_refusal_is_at_or_below_hard_guard():
+    # RFun, abc_parts and the Massey maps refuse the same pole distances: draws keep
+    # only distances strictly above a margin, so a distance of exactly HARD_GUARD is refused
+    m = matrix_from_sequence(3, 2, (1, 2, 2))
+    obd = bd_from_matrix(m)
+    with pytest.raises(PoleError):
+        rational_R(2)(0.5, HARD_GUARD)
+    with pytest.raises(PoleError):
+        abc_parts(obd, HARD_GUARD)
+    with pytest.raises(PoleError):
+        multiplicative_r(obd)(HARD_GUARD, 0.3, 0.7)
+    with pytest.raises(PoleError):
+        massey_tensor(m, HARD_GUARD, 0.3, 0.7)
 
 
 def test_nilpotent_family():

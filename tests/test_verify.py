@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from aybe import verify
+from aybe.bundles import massey_closed, massey_oracle, matrix_from_sequence
 from aybe.solutions import (
     MAX_REJECTS,
     RFun,
     abc_parts,
     classical_r0,
+    exp_pole_distance,
     laurent_r0,
+    multiplicative_guards,
     multiplicative_r,
     nilpotent_r,
     quantum_R,
@@ -34,6 +37,7 @@ from aybe.verify import (
     residual_cybe,
     residual_h_equation,
     residual_laurent_identity,
+    residual_oracle,
     residual_qybe,
     residual_qybe_unitarity,
     residual_s_identity,
@@ -360,6 +364,37 @@ def test_suites_draw_the_samples_of_their_reference_guard_lists(monkeypatch, see
         for name, nvars, ref_ok, run in _stream_cases(obd, plan.guard_margin):
             want = plan.draw(nvars, ref_ok)
             assert _drawn(monkeypatch, run, plan) == want, (name, obd)
+
+
+#: two simple splitting matrices, at N = 3 and N = 5
+ORACLE_MATRICES = (matrix_from_sequence(3, 2, (1, 2, 2)), matrix_from_sequence(5, 3, (1, 1, 2, 2, 3)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_h_equation_and_oracle_draw_the_samples_of_their_hand_rules(monkeypatch, seed):
+    # the rules each check kept by hand before it ran on the one guarded runner
+    plan = SamplePlan(seed=seed, count=32, guard_margin=0.5)
+    m = plan.guard_margin
+
+    def h_ok(z):
+        v1, v2, v3 = z
+        return all(exp_pole_distance(w) > m for w in (v1 - v2, v2 - v3, v3 - v1))
+
+    for kind in ("inverse_v", "half_coth"):
+        assert _drawn(monkeypatch, lambda p: residual_h_equation(kind, p), plan) == plan.draw(3, h_ok)
+    for mat in ORACLE_MATRICES:
+        guards = multiplicative_guards(mat.n_rows)
+        want = plan.draw(3, lambda z: min(g.distance(*z) for g in guards) > m)
+        assert _drawn(monkeypatch, lambda p: residual_oracle(mat, p), plan) == want
+
+
+@pytest.mark.parametrize("mat", ORACLE_MATRICES)
+def test_oracle_report_holds_the_map_deviation_of_each_triple(monkeypatch, mat):
+    plan = SamplePlan(seed=4, count=6)
+    rep = residual_oracle(mat, plan)
+    triples = _drawn(monkeypatch, lambda p: residual_oracle(mat, p), plan)
+    want = tuple(massey_closed(mat, *z).max_abs_diff(massey_oracle(mat, *z)) for z in triples)
+    assert rep.per_sample == want and rep.tol == verify.ORACLE_TOL and rep.passed
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
