@@ -1,22 +1,27 @@
-"""Micro-benchmark of one triple product in A (x) A (x) A: dense operands vs ``rmul_embed``.
+"""Micro-benchmark of the associative equation's triple products: sparse ``_sum`` vs dense products.
 
     python3 bench/contract.py
 
-It imports ``aybe`` from ``src/``.  For each N in ``NS`` it times the three
-product shapes of the associative Yang-Baxter equation, r12 r13, r23 r12 and
-r13 r23, on seeded random complex tensors, two ways:
+It imports ``aybe`` from ``src/``.  For each N it builds a seeded random
+structure (the deepest of 64 draws, as the dense-n8 workload does), draws
+one guarded AYBE sample for its ``trigonometric_r`` family, and times the
+signed sum a12 a13 - a23 b12 + b13 b23 of the six values two ways:
 
-* dense:      embed(a, s).op_matrix() @ embed(b, s').op_matrix(), O(N^9);
-* structured: rmul_embed(embed(a, s).op_matrix(), b, s'), O(N^8), as ``verify``
-  forms its products.
+* sparse: ``verify._sum(*verify._aybe(...))``, as every residual contracts
+  it: sparse joins of the embedded factors, one dense operator at the end;
+* dense:  every embedded factor as a dense N^3 x N^3 operator, multiplied
+  with BLAS, O(N^9); only for N in ``DENSE_NS``.
 
-Both include embedding the left factor.  Each of ``REPEATS`` repeats times
-each shape once per path; the per-product figure is the repeat's time over
-the three shapes, and an entry keeps the median over repeats.  One entry per
-N is appended to ``BENCH_contract.json`` with wall and CPU milliseconds per
-product for both paths, N, the repeat count, the largest relative difference
-between the two results, and the environment (``env.blas_threads``, the BLAS
-library, cores).  BLAS runs with the environment's default thread count.
+Each path is timed ``REPEATS`` times after one warm-up call, the sparse path
+at every N first, since BLAS threads spin on for a while after a dense product.  An
+entry keeps the median wall and CPU milliseconds per sum, N, the repeat
+count, the number of term products the joins scatter into the operator, the
+residual (the max-abs of the sparse sum), the largest absolute difference
+between the two results, and the environment
+(``env.blas_threads``, the BLAS library, cores).  One entry per N is
+appended to ``BENCH_contract.json`` with ``"bench": "contract-sum"``; the
+older ``"bench": "contract"`` entries there time one product, dense vs the
+since-removed ``rmul_embed``.
 """
 
 from __future__ import annotations
@@ -33,71 +38,96 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from aybe.tensors import Tensor2, embed, rmul_embed  # noqa: E402
-from perfbench import envinfo  # noqa: E402
+from aybe import solutions, verify  # noqa: E402
+from aybe.tensors import embed  # noqa: E402
+from perfbench import envinfo, workloads  # noqa: E402
 
 SEED = 0
-NS = range(3, 11)
+DENSE_NS = range(3, 11)
+NS = (*DENSE_NS, 12, 16)
 REPEATS = 5
 OUT = ROOT / "BENCH_contract.json"
-SHAPES = (((1, 2), (1, 3)), ((2, 3), (1, 2)), ((1, 3), (2, 3)))
 
 
-def dense(a, b, left, right):
-    return embed(a, left).op_matrix() @ embed(b, right).op_matrix()
+def dense_sum(*products):
+    """The signed sum of ``products`` as full N^3 x N^3 matrix products."""
+    total = 0
+    for sign, *factors in products:
+        term = embed(*factors[0]).op_matrix()
+        for factor in factors[1:]:
+            term = term @ embed(*factor).op_matrix()
+        total = total + sign * term
+    return total
 
 
-def structured(a, b, left, right):
-    return rmul_embed(embed(a, left).op_matrix(), b, right)
+def aybe_products(n: int) -> tuple:
+    """The AYBE products of a seeded ``trigonometric_r`` at one guarded sample."""
+    bd = workloads.random_structure(n, np.random.default_rng([SEED, n]), 64)
+    r = solutions.trigonometric_r(bd)
+    plan = verify.SamplePlan(seed=SEED, count=1)
+
+    def points(u, up, v, vp):
+        return ((-up, v), (u + up, v + vp), (u + up, vp), (u, v), (u, v + vp), (up, vp))
+
+    (z,) = plan.draw(4, lambda z: all(r.pole_distance(*p) > plan.guard_margin for p in points(*z)))
+    return verify._aybe(*(r(*p) for p in points(*z)))
 
 
-def per_product_ms(fn, pairs) -> tuple[float, float]:
-    """Wall and CPU milliseconds per product for one pass over the shapes."""
-    wall, cpu = time.perf_counter(), time.process_time()
-    for (a, b), (left, right) in zip(pairs, SHAPES):
-        fn(a, b, left, right)
-    k = len(SHAPES)
-    return (time.perf_counter() - wall) * 1e3 / k, (time.process_time() - cpu) * 1e3 / k
+def term_products(products) -> int:
+    """Entries the joins of ``products`` scatter into the operator."""
+    count = 0
+    for _, *factors in products:
+        term = embed(*factors[0])
+        for factor in factors[1:]:
+            term = term @ embed(*factor)
+        count += term.vals.size
+    return count
 
 
-def measure(n: int, repeats: int) -> dict:
-    rng = np.random.default_rng([SEED, n])
-
-    def tensor():
-        return Tensor2(n, rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4))
-
-    pairs = [(tensor(), tensor()) for _ in SHAPES]
-    rel = 0.0
-    for (a, b), (left, right) in zip(pairs, SHAPES):  # also warms up both paths
-        ref = dense(a, b, left, right)
-        diff = np.abs(structured(a, b, left, right) - ref).max() / np.abs(ref).max()
-        rel = max(rel, float(diff))
-    times = {"dense": [], "structured": []}
+def timed(fn, products, repeats: int) -> tuple:
+    """Result of ``fn(*products)`` after a warm-up call, with median wall and CPU ms of ``repeats`` calls."""
+    result = fn(*products)
+    runs = []
     for _ in range(repeats):
-        for name, fn in (("dense", dense), ("structured", structured)):
-            times[name].append(per_product_ms(fn, pairs))
-    entry = {"n": n, "repeats": repeats, "max_rel_diff": rel}
-    for name, runs in times.items():
-        entry[f"{name}_wall_ms"] = statistics.median(w for w, _ in runs)
-        entry[f"{name}_cpu_ms"] = statistics.median(c for _, c in runs)
-    entry["speedup"] = entry["dense_wall_ms"] / entry["structured_wall_ms"]
-    return entry
+        wall, cpu = time.perf_counter(), time.process_time()
+        fn(*products)
+        runs.append(((time.perf_counter() - wall) * 1e3, (time.process_time() - cpu) * 1e3))
+    return result, statistics.median(w for w, _ in runs), statistics.median(c for _, c in runs)
 
 
 def main() -> int:
     history = json.loads(OUT.read_text()) if OUT.exists() else []
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     env = envinfo.record(SEED)
-    for n in NS:
-        entry = {"bench": "contract", "time": stamp, **measure(n, REPEATS), "env": env}
-        history.append(entry)
-        print(
-            f"N={n:2d}  dense {entry['dense_wall_ms']:9.3f} ms wall {entry['dense_cpu_ms']:9.3f} ms cpu"
-            f"  structured {entry['structured_wall_ms']:8.3f} ms wall {entry['structured_cpu_ms']:8.3f} ms cpu"
-            f"  x{entry['speedup']:.1f}  rel diff {entry['max_rel_diff']:.1e}",
-            flush=True,
+    cases = {n: aybe_products(n) for n in NS}
+    entries, sums = {}, {}
+    # every sparse run first: BLAS threads spin on for a while after a dense product
+    for n, products in cases.items():
+        sums[n], wall, cpu = timed(verify._sum, products, REPEATS)
+        entries[n] = {
+            "bench": "contract-sum", "time": stamp, "n": n, "repeats": REPEATS,
+            "term_products": term_products(products), "sparse_wall_ms": wall, "sparse_cpu_ms": cpu,
+            "residual": float(np.abs(sums[n]).max()),
+        }
+    for n in DENSE_NS:
+        ref, wall, cpu = timed(dense_sum, cases[n], REPEATS)
+        # the sum is a residual near 0, so the difference is absolute
+        diff = float(np.abs(sums[n] - ref).max())
+        entries[n] |= {"dense_wall_ms": wall, "dense_cpu_ms": cpu, "max_abs_diff": diff,
+                       "speedup": wall / entries[n]["sparse_wall_ms"]}
+    for n, entry in entries.items():
+        history.append({**entry, "env": env})
+        dense = (
+            f"  dense {entry['dense_wall_ms']:9.3f} ms wall {entry['dense_cpu_ms']:9.3f} ms cpu"
+            f"  x{entry['speedup']:.1f}  diff {entry['max_abs_diff']:.1e}"
+            if n in DENSE_NS else ""
         )
-        OUT.write_text(json.dumps(history, indent=1) + "\n")
+        print(
+            f"N={n:2d}  {entry['term_products']:8d} term products"
+            f"  sparse {entry['sparse_wall_ms']:8.3f} ms wall {entry['sparse_cpu_ms']:8.3f} ms cpu"
+            f"  residual {entry['residual']:.1e}{dense}"
+        )
+    OUT.write_text(json.dumps(history, indent=1) + "\n")
     return 0
 
 

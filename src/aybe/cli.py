@@ -334,8 +334,15 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as one JSON error line, as every other usage error."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="aybe", description=__doc__)
+    p = _Parser(prog="aybe", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     shared = {
@@ -402,13 +409,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return _USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit:  # --help printed its text; a rejected command line raises CliError
+        return 0
     except (CliError, InvalidStructure, solutions.PoleError, ValueError, verify.SamplerExhausted) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return _USAGE_ERROR

@@ -1,4 +1,4 @@
-"""Dense tensor algebra for A (x) A and A (x) A (x) A with A = Mat(N, C).
+"""Tensor algebra for A (x) A and A (x) A (x) A with A = Mat(N, C).
 
 Elements of A (x) A are stored as complex coefficient arrays c[p,q,r,s]
 indexed so that the tensor equals sum_{pqrs} c[p,q,r,s] e_pq (x) e_rs
@@ -9,13 +9,19 @@ matters).  Two flattenings of the same array are used throughout:
 * pairing_matrix -- rows from the first factor (p, q), columns from the
   second (r, s); its invertibility is the nondegeneracy of the tensor.
 
-Everything is dense and double precision.  The CLI bounds the sizes:
-``verify`` takes N <= 16, where one N^3 x N^3 operator in A (x) A (x) A
-takes 256 MiB, and ``eval`` takes N <= 32, where the N^4 coefficients of
-one value in A (x) A take 16 MiB.
+Elements of A (x) A (x) A are sparse: a ``Tensor3`` keeps only the entries
+of its operator on (C^N)^(x)3 that ``embed`` and the products made, and
+``Tensor3 @ Tensor3`` joins the column indices of the left factor with the
+row indices of the right one, so no triple product calls BLAS.  Only
+``Tensor3.op_matrix`` forms the dense N^3 x N^3 operator.  All values are
+double precision.  The CLI bounds the sizes: ``verify`` takes N <= 16,
+where one N^3 x N^3 operator takes 256 MiB, and ``eval`` takes N <= 32,
+where the N^4 coefficients of one value in A (x) A take 16 MiB.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,7 +33,6 @@ __all__ = [
     "diag_P0",
     "tensor_of",
     "embed",
-    "rmul_embed",
     "compose2",
     "swap_factors",
     "project_sl",
@@ -106,30 +111,80 @@ class Tensor2:
 
 
 class Tensor3:
-    """Element of A (x) A (x) A; coefficient of e_pq (x) e_rs (x) e_tu at [p,q,r,s,t,u]."""
+    """Element of A (x) A (x) A as a sparse operator on (C^N)^(x)3.
 
-    __slots__ = ("n", "coeffs")
+    Entry k puts ``vals[k]`` at row ``rows[k]`` = (p, r, t) and column
+    ``cols[k]`` = (q, s, u) of the operator, each flattened base N, for the
+    coefficient of e_pq (x) e_rs (x) e_tu; entries at one position add.  The
+    constructor checks and copies the arrays, and all are frozen, as
+    ``Tensor2``'s coefficients are.
+    """
 
-    def __init__(self, n: int, coeffs) -> None:
+    __slots__ = ("n", "rows", "cols", "vals")
+
+    def __init__(self, n: int, rows, cols, vals) -> None:
         if n < 1:
             raise ValueError("matrix size must be positive")
-        c = np.array(coeffs, dtype=complex)
-        if c.shape != (n,) * 6:
-            raise ValueError(f"coefficient array must have shape {(n,) * 6}")
-        c.setflags(write=False)
-        self.n = n
-        self.coeffs = c
+        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=complex)
+        if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
+            raise ValueError("rows, cols and vals must be 1-d arrays of one length")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n ** 3):
+            raise ValueError(f"operator indices must lie in [0, {n ** 3})")
+        self._set(n, rows, cols, vals)
+
+    @classmethod
+    def _of(cls, n: int, rows, cols, vals) -> "Tensor3":
+        """The tensor of arrays that this module just made in range, without the checks and copies."""
+        t = object.__new__(cls)
+        t._set(n, rows, cols, vals)
+        return t
+
+    def _set(self, n, rows, cols, vals) -> None:
+        for a in (rows, cols, vals):
+            a.setflags(write=False)
+        self.n, self.rows, self.cols, self.vals = n, rows, cols, vals
+
+    @classmethod
+    def sum(cls, terms) -> "Tensor3":
+        """Sum of ``terms``: all their entries, one term after another."""
+        first, *rest = terms
+        for t in rest:
+            first._check(t)
+        rows = np.concatenate([t.rows for t in terms])
+        cols = np.concatenate([t.cols for t in terms])
+        vals = np.concatenate([t.vals for t in terms])
+        return cls._of(first.n, rows, cols, vals)
 
     def op_matrix(self) -> np.ndarray:
-        """Operator on (C^N)^(x)3; row (p, r, t), column (q, s, u)."""
-        n = self.n
-        return self.coeffs.transpose(0, 2, 4, 1, 3, 5).reshape(n ** 3, n ** 3)
+        """Dense operator on (C^N)^(x)3; row (p, r, t), column (q, s, u)."""
+        n3 = self.n ** 3
+        out = np.zeros(n3 * n3, dtype=complex)
+        np.add.at(out, self.rows * n3 + self.cols, self.vals)
+        return out.reshape(n3, n3)
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
+    def __matmul__(self, other: "Tensor3") -> "Tensor3":
+        """Operator product: every left entry (i, k) meets every right entry (k, j)."""
+        self._check(other)
+        order = other.rows.argsort(kind="stable")
+        keys = other.rows[order]
+        lo = keys.searchsorted(self.cols, "left")
+        count = keys.searchsorted(self.cols, "right") - lo
+        left = np.arange(self.cols.size).repeat(count)
+        # the m-th pair of a left entry meets the m-th right entry of its key
+        right = order[(lo - (count.cumsum() - count)).repeat(count) + np.arange(left.size)]
+        vals = self.vals[left] * other.vals[right]
+        return Tensor3._of(self.n, self.rows[left], other.cols[right], vals)
+
+    def __neg__(self) -> "Tensor3":
+        return Tensor3._of(self.n, self.rows, self.cols, -self.vals)
 
     def __repr__(self) -> str:
-        return f"Tensor3(n={self.n}, max_abs={self.max_abs():.3g})"
+        return f"Tensor3(n={self.n}, entries={self.vals.size})"
+
+    def _check(self, other: "Tensor3") -> None:
+        if not isinstance(other, Tensor3) or other.n != self.n:
+            raise ValueError("tensor size mismatch")
 
 
 def unit2(n: int) -> Tensor2:
@@ -179,44 +234,35 @@ def _slot_pair(slots) -> tuple[int, int]:
     return i, j
 
 
+@functools.lru_cache(maxsize=64)
+def _places(n: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of the operator, without the identity slot's index, of each flat
+    coefficient index (p, q, r, s) of a tensor embedded into slots i and j."""
+    p, q, r, s = np.indices((n,) * 4).reshape(4, -1)
+    wi, wj = n ** (3 - i), n ** (3 - j)
+    places = p * wi + r * wj, q * wi + s * wj
+    for a in places:  # every caller shares them
+        a.setflags(write=False)
+    return places
+
+
 def embed(t: Tensor2, slots: tuple[int, int]) -> Tensor3:
     """Place a two-factor tensor into slots of A (x) A (x) A, identity elsewhere.
 
-    ``slots`` is an ordered pair from {1, 2, 3}; for reversed order the
-    factors are swapped first, so embed(t, (2, 1)) == embed(t^21, (1, 2)).
+    ``slots`` is an ordered pair from {1, 2, 3}; the first factor of ``t``
+    goes to slot ``slots[0]``, so embed(t, (2, 1)) == embed(t^21, (1, 2)).
+    Each nonzero coefficient of ``t`` gives N entries, one per diagonal index
+    of the identity slot; ``nonzero`` keeps NaN and inf coefficients.
     """
     i, j = _slot_pair(slots)
-    if i > j:
-        return embed(swap_factors(t), (j, i))
-    eye = np.eye(t.n)
-    c = t.coeffs
-    if (i, j) == (1, 2):
-        c = c[:, :, :, :, None, None] * eye
-    elif (i, j) == (1, 3):
-        c = c[:, :, None, None] * eye[:, :, None, None]
-    else:  # (2, 3)
-        c = c * eye[:, :, None, None, None, None]
-    return Tensor3(t.n, c)
-
-
-def rmul_embed(x: np.ndarray, t: Tensor2, slots: tuple[int, int]) -> np.ndarray:
-    """``x @ embed(t, slots).op_matrix()`` for an N^3 x N^3 operator ``x``.
-
-    The embedded operand is never formed: the column index of ``x`` is split
-    into the three factors, the two in ``slots`` are contracted with ``t``'s
-    operator flattening, and the factors are put back in order.  That is one
-    (N^4 x N^2) by (N^2 x N^2) matrix product, O(N^8) instead of the O(N^9)
-    dense product.  The first factor of ``t`` acts on slot ``slots[0]``, so a
-    reversed pair means the swapped tensor, as in ``embed``.
-    """
-    i, j = _slot_pair(slots)
-    k = 6 - i - j
     n = t.n
-    if x.shape != (n ** 3, n ** 3):
-        raise ValueError(f"operator must have shape {(n ** 3, n ** 3)}, got {x.shape}")
-    # one expression, so the transposed copy of x is freed before the output copy
-    y = x.reshape(n ** 3, n, n, n).transpose(0, k, i, j).reshape(n ** 4, n * n) @ t.op_matrix()
-    return np.moveaxis(y.reshape(n ** 3, n, n, n), (1, 2, 3), (k, i, j)).reshape(n ** 3, n ** 3)
+    c = t.coeffs.ravel()
+    at = c.nonzero()[0]
+    rows, cols = _places(n, i, j)
+    diag = np.arange(n) * n ** (i + j - 3)  # the identity slot's index at its place value
+    return Tensor3._of(
+        n, (rows[at][:, None] + diag).ravel(), (cols[at][:, None] + diag).ravel(), c[at].repeat(n)
+    )
 
 
 def project_sl(t: Tensor2) -> Tensor2:

@@ -14,9 +14,9 @@ fails the report, and reports are independent of evaluation order;
 identical seeds give bit-identical reports.
 
 Products in A (x) A (x) A are signed tuples of (tensor, slots) factors,
-and ``_sum`` alone contracts them: it embeds each leftmost factor as a
-dense N^3 x N^3 operator and applies every further factor with
-``rmul_embed``, which never builds the embedded operand.
+and ``_sum`` alone contracts them: it embeds every factor as a sparse
+``Tensor3``, chains the factors of each product with sparse joins, and
+forms the dense N^3 x N^3 operator of the whole signed sum once.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .solutions import (
     x_pole_distance,
 )
 from .structures import OrderedBDStructure
-from .tensors import Tensor2, compose2, embed, rmul_embed, swap_factors, sym_commutator, unit2
+from .tensors import Tensor2, Tensor3, compose2, embed, swap_factors, sym_commutator, unit2
 
 __all__ = [
     "SamplePlan",
@@ -122,23 +122,29 @@ class Report:
 def _sum(*products) -> np.ndarray:
     """Operator of the signed sum of ``products``, each ``(sign, (tensor, slots), ...)``.
 
-    Consecutive products with one leftmost factor share its operator, kept only
-    until the last of them starts, and are summed before they join the total.
+    Each distinct factor is embedded once.  A join drops an entry that meets
+    no entry of the next factor, where a dense product gives inf * 0 = NaN;
+    so a non-finite coefficient in any factor makes the whole operator NaN,
+    and the report fails.
     """
-    total, run, shared = 0, None, None
-    for k, (sign, left, *rest) in enumerate(products):
-        term = embed(*left).op_matrix() if shared is None else shared
-        shared = term if k + 1 < len(products) and products[k + 1][1] == left else None
-        for t, slots in rest:
-            term = rmul_embed(term, t, slots)
-        if run is None:
-            run, run_sign = term, sign
-        else:
-            run = run + term if sign == run_sign else run - term
-        if shared is None:  # the run ends and joins the total
-            total = total + run if run_sign > 0 else total - run
-            run = term = None
-    return total
+    embedded, terms = {}, []
+    for sign, *factors in products:
+        term = None
+        for t, slots in factors:
+            key = (id(t), slots)
+            if key not in embedded:
+                embedded[key] = embed(t, slots)
+            term = embedded[key] if term is None else term @ embedded[key]
+        terms.append(term if sign > 0 else -term)
+    op = Tensor3.sum(terms).op_matrix()
+    if not all(np.isfinite(e.vals).all() for e in embedded.values()):
+        op[:] = np.nan
+    return op
+
+
+def _minus(products) -> tuple:
+    """``products`` with every sign flipped."""
+    return tuple((-sign, *factors) for sign, *factors in products)
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -271,7 +277,7 @@ def residual_cybe(r0: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAUL
 
     def res(r12, r13, r23):
         a, b, c = (r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))
-        # [a, b] - [c, a] + [b, c], ordered by left factor so that each run shares its operator
+        # [a, b] - [c, a] + [b, c]
         return _max_abs(_sum((1, a, b), (1, a, c), (1, b, c), (-1, b, a), (-1, c, a), (-1, c, b)))
 
     return _run_at("cybe", plan, tol, 2, lambda v, vp: _v_points(r0, v, vp), res)
@@ -419,13 +425,13 @@ def residual_cubic(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAUL
         ]
 
     def res(a12, a13, a23, b23, b13, b12, r13, s23, s23_neg, s12_neg, s12):
-        e1 = _sum(
+        e1 = (
             (1, (a12, (1, 2)), (a13, (1, 3)), (a23, (2, 3))),
             (-1, (b23, (2, 3)), (b13, (1, 3)), (b12, (1, 2))),
         )
-        e2 = _sum((1, (s23, (2, 3)), (r13, (1, 3))), (-1, (r13, (1, 3)), (s23_neg, (2, 3))))
-        e3 = _sum((1, (r13, (1, 3)), (s12_neg, (1, 2))), (-1, (s12, (1, 2)), (r13, (1, 3))))
-        return _worst(_max_abs(e1 - e2), _max_abs(e2 - e3))
+        e2 = ((1, (s23, (2, 3)), (r13, (1, 3))), (-1, (r13, (1, 3)), (s23_neg, (2, 3))))
+        e3 = ((1, (r13, (1, 3)), (s12_neg, (1, 2))), (-1, (s12, (1, 2)), (r13, (1, 3))))
+        return _worst(_max_abs(_sum(*e1, *_minus(e2))), _max_abs(_sum(*e2, *_minus(e3))))
 
     return _run_at("cubic", plan, tol, 6, points, res)
 
@@ -447,9 +453,8 @@ def residual_laurent_identity(
         return _v_points(r0, v, vp) + _v_points(r1, v, vp)
 
     def res(a12, a13, a23, b12, b13, b23):
-        lhs = _sum(*_aybe(a12, a13, a23, a12, a13, a23))
-        rhs = _sum((1, (b12, (1, 2))), (1, (b13, (1, 3))), (1, (b23, (2, 3))))
-        return _max_abs(lhs - rhs)
+        rhs = ((1, (b12, (1, 2))), (1, (b13, (1, 3))), (1, (b23, (2, 3))))
+        return _max_abs(_sum(*_aybe(a12, a13, a23, a12, a13, a23), *_minus(rhs)))
 
     return _run_at("laurent-identity", plan, tol, 2, points, res)
 

@@ -169,6 +169,29 @@ def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, "enumerate", "--n", "2", "--bogus")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv,says",
+    [
+        (("enumerate", "--n="), "aybe enumerate: argument --n: invalid int value: ''"),
+        (("enumerate", "--n", "a"), "aybe enumerate: argument --n: invalid int value: 'a'"),
+        (("verify", "--samples", "0"), "aybe verify: argument --samples: must be at least 1, got 0"),
+        (("enumerate",), "aybe enumerate: the following arguments are required: --n"),
+        ((), "aybe: the following arguments are required: command"),
+    ],
+)
+def test_rejected_command_line_is_one_json_error_line(capsys, argv, says):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": says}
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: aybe") and err == ""
+
+
 # one complete stored report, as verify writes it
 _REPORT = {"suite": "aybe", "seed": 0, "samples": 4, "max_residual": 1e-15, "tol": 1e-8, "pass": True}
 
@@ -703,11 +726,8 @@ def _main_on_stdin(argv, text):
 
 
 def _one_diagnostic(err: str) -> bool:
-    """Whether stderr is silent, one JSON line naming the error, or argparse's usage
-    message for an option it rejects, which ends in its one ``error:`` line."""
+    """Whether stderr is silent or one JSON line naming the error."""
     lines = err.splitlines()
-    if lines and lines[0].startswith("usage: aybe"):
-        return lines[-1].startswith("aybe ") and ": error: " in lines[-1]
     return not lines or (len(lines) == 1 and list(json.loads(err)) == ["error"])
 
 
@@ -723,6 +743,7 @@ def _one_diagnostic(err: str) -> bool:
 @example(json.dumps({**_VALID_DOCS[0], "gamma1": []}), {"--x": "1e200"}, "3", "0.9,0.2")
 @example(json.dumps(_VALID_DOCS[0]), {}, "6", "1e200")  # --u-fixed 1e200 printed warnings and a null
 @example(json.dumps(_VALID_DOCS[0]), {}, "3", "0")  # --u-fixed 0 printed warnings before its error
+@example(json.dumps(_VALID_DOCS[0]), {}, "", "0.9,0.2")  # enumerate --n= printed argparse's usage text
 def test_every_command_keeps_the_exit_code_contract(text, point, n, u_fixed):
     commands = [("eval", "--kind", kind, *(f"{f}={v}" for f, v in point.items())) for kind in _EVAL_KINDS]
     commands += [

@@ -5,13 +5,13 @@ import pytest
 
 from aybe.tensors import (
     Tensor2,
+    Tensor3,
     compose2,
     diag_P0,
     embed,
     is_nondegenerate,
     perm_P,
     project_sl,
-    rmul_embed,
     swap_factors,
     sym_commutator,
     tensor_of,
@@ -78,7 +78,7 @@ def test_embed_reversed_slots(rng):
     t = rand_tensor2(rng, 2)
     a = embed(t, (2, 1))
     b = embed(swap_factors(t), (1, 2))
-    assert np.abs(a.coeffs - b.coeffs).max() == 0.0
+    assert np.array_equal(a.op_matrix(), b.op_matrix())
 
 
 def test_embed_rejects_equal_slots():
@@ -96,8 +96,8 @@ def test_embed_matches_einsum_form():
     for n in (1, 2, 3):
         t = rand_tensor2(rng, n)
         for slots, spec in forms.items():
-            expected = np.einsum(spec, t.coeffs, np.eye(n))
-            assert np.array_equal(embed(t, slots).coeffs, expected)
+            expected = np.einsum(spec, t.coeffs, np.eye(n)).transpose(0, 2, 4, 1, 3, 5)
+            assert np.array_equal(embed(t, slots).op_matrix(), expected.reshape(n ** 3, n ** 3))
 
 
 SLOT_PAIRS = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
@@ -111,6 +111,9 @@ def rel_err(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
+# ``rmul_embed`` names right multiplication by an embedded factor, now the sparse ``Tensor3 @``
+
+
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_rmul_embed_matches_dense_product(n):
     rng = np.random.default_rng(1000 + n)
@@ -119,22 +122,58 @@ def test_rmul_embed_matches_dense_product(n):
         x = dense_op(a, left)
         for right in SLOT_PAIRS:
             ref = x @ dense_op(b, right)
-            assert rel_err(rmul_embed(x, b, right), ref) < 1e-13, (left, right)
+            assert rel_err((embed(a, left) @ embed(b, right)).op_matrix(), ref) < 1e-13, (left, right)
 
 
 def test_rmul_embed_three_factor_chain():
     rng = np.random.default_rng(7)
     a, b, c = (rand_tensor2(rng, 3) for _ in range(3))
     ref = dense_op(a, (1, 2)) @ dense_op(b, (3, 1)) @ dense_op(c, (2, 3))
-    got = rmul_embed(rmul_embed(dense_op(a, (1, 2)), b, (3, 1)), c, (2, 3))
+    got = (embed(a, (1, 2)) @ embed(b, (3, 1)) @ embed(c, (2, 3))).op_matrix()
     assert rel_err(got, ref) < 1e-13
 
 
 def test_rmul_embed_validates_arguments():
     with pytest.raises(ValueError):
-        rmul_embed(np.eye(8), unit2(2), (2, 2))
+        embed(unit2(2), (2, 2))
     with pytest.raises(ValueError):
-        rmul_embed(np.eye(27), unit2(2), (1, 2))
+        embed(unit2(2), (1, 4))
+    with pytest.raises(ValueError):
+        embed(unit2(3), (1, 2)) @ embed(unit2(2), (1, 2))
+    with pytest.raises(ValueError):
+        embed(unit2(2), (1, 2)) @ np.eye(8)
+
+
+def test_tensor3_entries_at_one_position_add():
+    t = Tensor3(2, [0, 7, 0], [3, 7, 3], [1.0, 2j, -0.25])
+    want = np.zeros((8, 8), dtype=complex)
+    want[0, 3], want[7, 7] = 0.75, 2j
+    assert np.array_equal(t.op_matrix(), want)
+    assert np.array_equal(Tensor3.sum([t, -t]).op_matrix(), np.zeros((8, 8)))
+    assert np.array_equal(Tensor3(2, [], [], []).op_matrix(), np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize(
+    "rows,cols,vals",
+    [([0], [8], [1.0]), ([-1], [0], [1.0]), ([0, 1], [0], [1.0, 1.0]), ([[0]], [[0]], [[1.0]])],
+)
+def test_tensor3_validates_entries(rows, cols, vals):
+    with pytest.raises(ValueError):
+        Tensor3(2, rows, cols, vals)
+
+
+def test_tensor3_is_frozen():
+    t = embed(perm_P(2), (1, 3))
+    for a in (t.rows, t.cols, t.vals):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_embed_keeps_non_finite_coefficients():
+    c = np.zeros((2,) * 4, dtype=complex)
+    c[0, 1, 1, 0], c[1, 1, 0, 0] = np.inf, np.nan
+    t = embed(Tensor2(2, c), (2, 3))
+    assert t.vals.size == 4 and not np.isfinite(t.vals).any()
 
 
 def test_compose2_with_unit_and_assoc(rng):

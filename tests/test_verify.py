@@ -24,7 +24,7 @@ from aybe.solutions import (
     x_pole_distance,
 )
 from aybe.structures import BDStructure, CyclicPermutation, OrderedBDStructure, enumerate_structures
-from aybe.tensors import Tensor2, embed, perm_P, unit2
+from aybe.tensors import Tensor2, Tensor3, embed, perm_P, unit2
 from aybe.verify import (
     Report,
     SamplePlan,
@@ -457,24 +457,64 @@ def _dense_sum(*products):
     return total
 
 
+def _sparse(rng, n, density):
+    shape = (n,) * 4
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Tensor2(n, coeffs * (rng.random(shape) < density))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sum_matches_dense_products(monkeypatch, n):
     rng = np.random.default_rng(2600 + n)
-    shape = (n,) * 4
-    a, b, c = (Tensor2(n, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(3))
+    a, b, c = (_sparse(rng, n, 1.0) for _ in range(3))
+    # about 5% of the coefficients, as in the term tables of the families, and
+    # an all-zero factor, as abc's b(x) is when no tau pair is negative
+    d, e, zero = _sparse(rng, 4, 0.05), _sparse(rng, 4, 0.05), Tensor2.zero(n)
     cases = [
         [(sign, (a, left), (b, right))]
         for left in SLOT_PAIRS for right in SLOT_PAIRS for sign in (1, -1)
     ]
+    cases += [
+        [(1, (d, left), (e, right)), (-1, (e, right), (d, left)), (1, (d, right))]
+        for left in SLOT_PAIRS for right in SLOT_PAIRS
+    ]
     A, B, C = (a, (2, 1)), (b, (1, 3)), (c, (3, 2))
-    # one-factor and three-factor products, and runs of three and two that share
-    # their left factor, the second of them starting with a minus sign
+    # one-factor and three-factor products, and products that share their left factor
     runs = [(1, A), (-1, A, B, C), (1, A, C), (-1, B, A), (-1, C), (1, C, A)]
-    for products in cases + [runs]:
+    with_zero = [(1, A, B), (-1, (zero, (1, 2)), C), (1, B, (zero, (2, 3)), A)]
+    for products in cases + [runs, with_zero]:
         want = _dense_sum(*products)
         rel = np.abs(verify._sum(*products) - want).max() / np.abs(want).max()
         assert rel < 1e-13, products
-    embedded = []
-    monkeypatch.setattr(verify, "embed", lambda t, slots: embedded.append(slots) or embed(t, slots))
-    verify._sum(*runs)
-    assert embedded == [(2, 1), (1, 3), (3, 2)]  # one operator per run
+    assert not verify._sum((1, (zero, (1, 2)), B), (-1, C, (zero, (3, 1)))).any()
+
+    calls = []
+    op_matrix = Tensor3.op_matrix
+    monkeypatch.setattr(Tensor3, "op_matrix", lambda t: calls.append(t) or op_matrix(t))
+    for products in (runs, with_zero, cases[0]):
+        calls.clear()
+        verify._sum(*products)
+        assert len(calls) == 1  # one dense operator per call
+
+
+def test_sum_is_non_finite_where_a_join_drops_an_infinite_coefficient():
+    # inf at e_12 (x) e_11 meets only zeros of b13, whose coefficients all have p = 1:
+    # the join has no pair for it, while the dense product gives inf * 0 = NaN
+    ca, cb = np.zeros((2,) * 4, dtype=complex), np.zeros((2,) * 4, dtype=complex)
+    ca[0, 1, 0, 0], ca[0, 0, 0, 0] = np.inf, 1.0
+    cb[0, 0, 1, 1] = 1.0
+    products = ((1, (Tensor2(2, ca), (1, 2)), (Tensor2(2, cb), (1, 3))),)
+    assert np.isfinite((embed(*products[0][1]) @ embed(*products[0][2])).op_matrix()).all()
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(_dense_sum(*products)).all()
+    assert np.isnan(verify._max_abs(verify._sum(*products)))
+
+
+def test_family_with_one_infinite_coefficient_fails_the_aybe_report():
+    # the one coefficient, at e_12 (x) e_12, meets itself in no product of the
+    # equation, so every join drops it and only the finiteness check sees it
+    c = np.zeros((2,) * 4, dtype=complex)
+    c[0, 1, 0, 1] = np.inf
+    r = RFun(2, "one inf", 2, lambda u, v: Tensor2(2, c), ())
+    rep = residual_aybe(r, SamplePlan(seed=3, count=4))
+    assert np.isnan(rep.max_residual) and not rep.passed
