@@ -1,4 +1,4 @@
-"""Micro-benchmark of the associative equation's triple products: sparse ``_sum`` vs dense products.
+"""Micro-benchmark of the associative equation's triple products: sparse ``_residual`` vs dense products.
 
     python3 bench/contract.py
 
@@ -7,8 +7,9 @@ structure (the deepest of 64 draws, as the dense-n8 workload does), draws
 one guarded AYBE sample for its ``trigonometric_r`` family, and times the
 signed sum a12 a13 - a23 b12 + b13 b23 of the six values two ways:
 
-* sparse: ``verify._sum(*verify._aybe(...))``, as every residual contracts
-  it: sparse joins of the embedded factors, one dense operator at the end;
+* sparse: ``verify._residual((verify._aybe(...), ()))``, as every suite
+  contracts it: sparse joins of the embedded factors, one dense operator
+  at the end, and its max-abs;
 * dense:  every embedded factor as a dense N^3 x N^3 operator, multiplied
   with BLAS, O(N^9); only for N in ``DENSE_NS``.
 
@@ -16,12 +17,13 @@ Each path is timed ``REPEATS`` times after one warm-up call, the sparse path
 at every N first, since BLAS threads spin on for a while after a dense product.  An
 entry keeps the median wall and CPU milliseconds per sum, N, the repeat
 count, the number of term products the joins scatter into the operator, the
-residual (the max-abs of the sparse sum), the largest absolute difference
-between the two results, and the environment
+residual, the largest absolute difference, entry by entry, between the
+sparse operator (``verify._sum``) and the dense one, and the environment
 (``env.blas_threads``, the BLAS library, cores).  One entry per N is
-appended to ``BENCH_contract.json`` with ``"bench": "contract-sum"``; the
-older ``"bench": "contract"`` entries there time one product, dense vs the
-since-removed ``rmul_embed``.
+appended to ``BENCH_contract.json`` with ``"bench": "contract-residual"``.
+Older entries there time earlier entry points: ``"contract-sum"`` the
+operator alone, without its max-abs, and ``"contract"`` one product, dense
+vs the since-removed ``rmul_embed``.
 """
 
 from __future__ import annotations
@@ -103,11 +105,12 @@ def main() -> int:
     entries, sums = {}, {}
     # every sparse run first: BLAS threads spin on for a while after a dense product
     for n, products in cases.items():
-        sums[n], wall, cpu = timed(verify._sum, products, REPEATS)
+        residual, wall, cpu = timed(verify._residual, ((products, ()),), REPEATS)
+        sums[n] = verify._sum(products, (), {})
         entries[n] = {
-            "bench": "contract-sum", "time": stamp, "n": n, "repeats": REPEATS,
+            "bench": "contract-residual", "time": stamp, "n": n, "repeats": REPEATS,
             "term_products": term_products(products), "sparse_wall_ms": wall, "sparse_cpu_ms": cpu,
-            "residual": float(np.abs(sums[n]).max()),
+            "residual": residual,
         }
     for n in DENSE_NS:
         ref, wall, cpu = timed(dense_sum, cases[n], REPEATS)

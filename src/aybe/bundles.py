@@ -204,12 +204,12 @@ def matrix_tau(m: SplittingMatrix, alpha, k: int = 1):
     return beta
 
 
-def _chain(m: SplittingMatrix, alpha, step: int = 1):
-    """Yield (k, matrix_tau(m, alpha, step * k)) for k = 1, 2, ... while it is defined."""
-    k, beta = 1, matrix_tau(m, alpha, step)
+def _chain(m: SplittingMatrix, alpha):
+    """Yield (k, matrix_tau(m, alpha, k)) for k = 1, 2, ... while it is defined."""
+    k, beta = 1, matrix_tau(m, alpha)
     while beta is not None:
         yield k, beta
-        k, beta = k + 1, matrix_tau(m, beta, step)
+        k, beta = k + 1, matrix_tau(m, beta)
 
 
 def bd_from_matrix(m: SplittingMatrix) -> OrderedBDStructure:

@@ -9,14 +9,15 @@ matters).  Two flattenings of the same array are used throughout:
 * pairing_matrix -- rows from the first factor (p, q), columns from the
   second (r, s); its invertibility is the nondegeneracy of the tensor.
 
-Elements of A (x) A (x) A are sparse: a ``Tensor3`` keeps only the entries
-of its operator on (C^N)^(x)3 that ``embed`` and the products made, and
-``Tensor3 @ Tensor3`` joins the column indices of the left factor with the
-row indices of the right one, so no triple product calls BLAS.  Only
-``Tensor3.op_matrix`` forms the dense N^3 x N^3 operator.  All values are
-double precision.  The CLI bounds the sizes: ``verify`` takes N <= 16,
-where one N^3 x N^3 operator takes 256 MiB, and ``eval`` takes N <= 32,
-where the N^4 coefficients of one value in A (x) A take 16 MiB.
+Elements of A (x) A (x) A are sparse: a ``Tensor3`` is an unchecked record
+of the entries of its operator on (C^N)^(x)3 that ``embed`` and the products
+made.  ``Tensor3 @ Tensor3`` joins the column indices of the left factor with
+the row indices of the right one, so no triple product calls BLAS, and a sum
+is the concatenation of its terms' entries.  Only ``Tensor3.op_matrix`` forms
+the dense N^3 x N^3 operator.  All values are double precision.  The CLI
+bounds the sizes: ``verify`` takes N <= 16, where one N^3 x N^3 operator
+takes 256 MiB, and ``eval`` takes N <= 32, where the N^4 coefficients of one
+value in A (x) A take 16 MiB.
 """
 
 from __future__ import annotations
@@ -116,45 +117,16 @@ class Tensor3:
     Entry k puts ``vals[k]`` at row ``rows[k]`` = (p, r, t) and column
     ``cols[k]`` = (q, s, u) of the operator, each flattened base N, for the
     coefficient of e_pq (x) e_rs (x) e_tu; entries at one position add.  The
-    constructor checks and copies the arrays, and all are frozen, as
-    ``Tensor2``'s coefficients are.
+    constructor takes 1-d numpy arrays of one length, with indices in
+    [0, N^3), as they are, and freezes them, as ``Tensor2``'s coefficients are.
     """
 
     __slots__ = ("n", "rows", "cols", "vals")
 
-    def __init__(self, n: int, rows, cols, vals) -> None:
-        if n < 1:
-            raise ValueError("matrix size must be positive")
-        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-        vals = np.array(vals, dtype=complex)
-        if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
-            raise ValueError("rows, cols and vals must be 1-d arrays of one length")
-        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n ** 3):
-            raise ValueError(f"operator indices must lie in [0, {n ** 3})")
-        self._set(n, rows, cols, vals)
-
-    @classmethod
-    def _of(cls, n: int, rows, cols, vals) -> "Tensor3":
-        """The tensor of arrays that this module just made in range, without the checks and copies."""
-        t = object.__new__(cls)
-        t._set(n, rows, cols, vals)
-        return t
-
-    def _set(self, n, rows, cols, vals) -> None:
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
         for a in (rows, cols, vals):
             a.setflags(write=False)
         self.n, self.rows, self.cols, self.vals = n, rows, cols, vals
-
-    @classmethod
-    def sum(cls, terms) -> "Tensor3":
-        """Sum of ``terms``: all their entries, one term after another."""
-        first, *rest = terms
-        for t in rest:
-            first._check(t)
-        rows = np.concatenate([t.rows for t in terms])
-        cols = np.concatenate([t.cols for t in terms])
-        vals = np.concatenate([t.vals for t in terms])
-        return cls._of(first.n, rows, cols, vals)
 
     def op_matrix(self) -> np.ndarray:
         """Dense operator on (C^N)^(x)3; row (p, r, t), column (q, s, u)."""
@@ -174,10 +146,7 @@ class Tensor3:
         # the m-th pair of a left entry meets the m-th right entry of its key
         right = order[(lo - (count.cumsum() - count)).repeat(count) + np.arange(left.size)]
         vals = self.vals[left] * other.vals[right]
-        return Tensor3._of(self.n, self.rows[left], other.cols[right], vals)
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3._of(self.n, self.rows, self.cols, -self.vals)
+        return Tensor3(self.n, self.rows[left], other.cols[right], vals)
 
     def __repr__(self) -> str:
         return f"Tensor3(n={self.n}, entries={self.vals.size})"
@@ -260,7 +229,7 @@ def embed(t: Tensor2, slots: tuple[int, int]) -> Tensor3:
     at = c.nonzero()[0]
     rows, cols = _places(n, i, j)
     diag = np.arange(n) * n ** (i + j - 3)  # the identity slot's index at its place value
-    return Tensor3._of(
+    return Tensor3(
         n, (rows[at][:, None] + diag).ravel(), (cols[at][:, None] + diag).ravel(), c[at].repeat(n)
     )
 

@@ -13,10 +13,11 @@ aggregation, a NaN-propagating max, so a NaN or infinite sample anywhere
 fails the report, and reports are independent of evaluation order;
 identical seeds give bit-identical reports.
 
-Products in A (x) A (x) A are signed tuples of (tensor, slots) factors,
-and ``_sum`` alone contracts them: it embeds every factor as a sparse
-``Tensor3``, chains the factors of each product with sparse joins, and
-forms the dense N^3 x N^3 operator of the whole signed sum once.
+An identity in A (x) A (x) A is a pair (lhs, rhs) of lists of signed
+products of (tensor, slots) factors, and ``_residual`` alone contracts all
+the identities of a sample: it embeds each distinct factor once as a sparse
+``Tensor3``, joins each distinct product once, and forms one dense
+N^3 x N^3 operator of lhs - rhs per identity.
 """
 
 from __future__ import annotations
@@ -119,41 +120,49 @@ class Report:
         return f"Report({self.suite}: max={self.max_residual:.3g} tol={self.tol:g} {flag})"
 
 
-def _sum(*products) -> np.ndarray:
-    """Operator of the signed sum of ``products``, each ``(sign, (tensor, slots), ...)``.
-
-    Each distinct factor is embedded once.  A join drops an entry that meets
-    no entry of the next factor, where a dense product gives inf * 0 = NaN;
-    so a non-finite coefficient in any factor makes the whole operator NaN,
-    and the report fails.
-    """
-    embedded, terms = {}, []
-    for sign, *factors in products:
-        term = None
-        for t, slots in factors:
-            key = (id(t), slots)
-            if key not in embedded:
-                embedded[key] = embed(t, slots)
-            term = embedded[key] if term is None else term @ embedded[key]
-        terms.append(term if sign > 0 else -term)
-    op = Tensor3.sum(terms).op_matrix()
-    if not all(np.isfinite(e.vals).all() for e in embedded.values()):
-        op[:] = np.nan
-    return op
-
-
-def _minus(products) -> tuple:
-    """``products`` with every sign flipped."""
-    return tuple((-sign, *factors) for sign, *factors in products)
-
-
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.abs(m).max())
-
-
 def _worst(*values: float) -> float:
     """Largest of ``values``; NaN if any is NaN, where ``max`` would drop a later one."""
     return float(np.max(values))
+
+
+def _product(factors, cache) -> Tensor3:
+    """The sparse product of ``factors``, each ``(tensor, slots)``, kept in ``cache``.
+
+    The key of a product is its factors' ids and slots, so a one-factor key
+    holds an embedding; each is made once per cache.
+    """
+    key = tuple((id(t), slots) for t, slots in factors)
+    if key not in cache:
+        *head, (t, slots) = factors
+        cache[key] = _product(head, cache) @ _product(factors[-1:], cache) if head else embed(t, slots)
+    return cache[key]
+
+
+def _sum(lhs, rhs, cache) -> np.ndarray:
+    """Operator of ``lhs`` minus ``rhs``, lists of signed products ``(sign, (tensor, slots), ...)``.
+
+    The terms are concatenated lhs first, then rhs negated, in list order.
+    """
+    terms = [(sign, _product(f, cache)) for sign, *f in lhs]
+    terms += [(-sign, _product(f, cache)) for sign, *f in rhs]
+    rows = np.concatenate([t.rows for _, t in terms])
+    cols = np.concatenate([t.cols for _, t in terms])
+    vals = np.concatenate([t.vals if sign > 0 else -t.vals for sign, t in terms])
+    return Tensor3(terms[0][1].n, rows, cols, vals).op_matrix()
+
+
+def _residual(*identities) -> float:
+    """Worst max-abs of lhs - rhs over ``identities``, each a pair (lhs, rhs) for ``_sum``.
+
+    All identities share one cache, so a factor is embedded and a product
+    joined once per call.  A join drops an entry that meets no entry of the
+    next factor, where a dense product gives inf * 0 = NaN; so a non-finite
+    coefficient in any factor makes the residual NaN, and the report fails.
+    """
+    cache = {}
+    worst = _worst(*(np.abs(_sum(lhs, rhs, cache)).max() for lhs, rhs in identities))
+    finite = all(np.isfinite(t.vals).all() for key, t in cache.items() if len(key) == 1)
+    return worst if finite else math.nan
 
 
 def _aybe(a12, a13, a23, b12, b13, b23) -> tuple:
@@ -172,7 +181,7 @@ def _run_at(suite, plan, tol, nvars, points, residual) -> Report:
     sample z.  A candidate is kept if every pair keeps
     ``family.pole_distance(*args)`` above the guard margin; ``residual``
     receives the values ``family(*args)`` in order and contracts any triple
-    product through ``_sum``.
+    product through ``_residual``.
     """
     margin = plan.guard_margin
 
@@ -204,9 +213,7 @@ def residual_aybe(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT
         pairs = ((-up, v), (u + up, v + vp), (u + up, vp), (u, v), (u, v + vp), (up, vp))
         return [(r, p[: r.arity]) for p in pairs]
 
-    return _run_at(
-        "aybe", plan, tol, 2 * r.arity, points, lambda *t: _max_abs(_sum(*_aybe(*t)))
-    )
+    return _run_at("aybe", plan, tol, 2 * r.arity, points, lambda *t: _residual((_aybe(*t), ())))
 
 
 def residual_unitarity(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAULT_TOL) -> Report:
@@ -245,7 +252,7 @@ def residual_qybe(
 
     def res(r12, r13, r23):
         a, b, c = (r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))
-        return _max_abs(_sum((1, a, b, c), (-1, c, b, a)))
+        return _residual((((1, a, b, c),), ((1, c, b, a),)))
 
     return _run_at("qybe", plan, tol, 2, points, res)
 
@@ -278,7 +285,7 @@ def residual_cybe(r0: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAUL
     def res(r12, r13, r23):
         a, b, c = (r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))
         # [a, b] - [c, a] + [b, c]
-        return _max_abs(_sum((1, a, b), (1, a, c), (1, b, c), (-1, b, a), (-1, c, a), (-1, c, b)))
+        return _residual((((1, a, b), (1, a, c), (1, b, c)), ((1, b, a), (1, c, a), (1, c, b))))
 
     return _run_at("cybe", plan, tol, 2, lambda v, vp: _v_points(r0, v, vp), res)
 
@@ -308,7 +315,7 @@ def residual_aybe2(rm: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAU
 
     def res(a12, a13, a23, b12, b13, b23, inv21):
         unit = (swap_factors(b12) + inv21).max_abs()
-        return _worst(_max_abs(_sum(*_aybe(a12, a13, a23, b12, b13, b23))), unit)
+        return _worst(_residual((_aybe(a12, a13, a23, b12, b13, b23), ())), unit)
 
     return _run_at("aybe2", plan, tol, 5, points, res)
 
@@ -334,20 +341,22 @@ def residual_abc(
 
     def res(*parts_at):
         (ax, bx, cx), (axp, bxp, cxp), (a_inv_xp, _, _), (a_prod, b_prod, c_prod) = parts_at
-        r1 = _max_abs(_sum(*_aybe(a_inv_xp, a_prod, a_prod, ax, ax, axp)))
-        r2 = _max_abs(_sum((1, (bx, (1, 2)), (bxp, (1, 3)))))
-        r3 = _max_abs(_sum(
-            (1, (bx, (1, 3)), (bxp, (2, 3))),
-            (-1, (bxp, (2, 1)), (b_prod, (1, 3))),
-            (-1, (b_prod, (2, 3)), (bx, (1, 2))),
-        ))
-        r4 = _max_abs(_sum(
+        b_quadratic = (
+            ((1, (bx, (1, 3)), (bxp, (2, 3))),),
+            ((1, (bxp, (2, 1)), (b_prod, (1, 3))), (1, (b_prod, (2, 3)), (bx, (1, 2)))),
+        )
+        mixed = (
             (1, (cx, (1, 3)), (axp, (2, 3))),
             (1, (a_inv_xp, (1, 2)), (c_prod, (1, 3))),
             (-1, (c_prod, (2, 3)), (ax, (1, 2))),
             (1, (ax, (1, 3)), (cxp, (2, 3))),
-        ))
-        return _worst(r1, r2, r3, r4)
+        )
+        return _residual(
+            (_aybe(a_inv_xp, a_prod, a_prod, ax, ax, axp), ()),
+            (((1, (bx, (1, 2)), (bxp, (1, 3))),), ()),
+            b_quadratic,
+            (mixed, ()),
+        )
 
     return _run_at("abc", plan, tol, 2, points, res)
 
@@ -431,7 +440,7 @@ def residual_cubic(r: RFun, plan: SamplePlan = SamplePlan(), tol: float = DEFAUL
         )
         e2 = ((1, (s23, (2, 3)), (r13, (1, 3))), (-1, (r13, (1, 3)), (s23_neg, (2, 3))))
         e3 = ((1, (r13, (1, 3)), (s12_neg, (1, 2))), (-1, (s12, (1, 2)), (r13, (1, 3))))
-        return _worst(_max_abs(_sum(*e1, *_minus(e2))), _max_abs(_sum(*e2, *_minus(e3))))
+        return _residual((e1, e2), (e2, e3))
 
     return _run_at("cubic", plan, tol, 6, points, res)
 
@@ -454,7 +463,7 @@ def residual_laurent_identity(
 
     def res(a12, a13, a23, b12, b13, b23):
         rhs = ((1, (b12, (1, 2))), (1, (b13, (1, 3))), (1, (b23, (2, 3))))
-        return _max_abs(_sum(*_aybe(a12, a13, a23, a12, a13, a23), *_minus(rhs)))
+        return _residual((_aybe(a12, a13, a23, a12, a13, a23), rhs))
 
     return _run_at("laurent-identity", plan, tol, 2, points, res)
 

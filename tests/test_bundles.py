@@ -1,5 +1,6 @@
 """Splitting matrices: simplicity, order, derived structure, gluing solves."""
 
+import itertools
 import math
 
 import numpy as np
@@ -709,7 +710,10 @@ def ref_massey_closed(m, x, y, yp):
                     row[b_index(beta)] -= x ** (-kk)
             else:
                 row[b_index((i, ip))] += yp / (yp - y)
-                for kk, beta in _chain(m, (ip, i), -1):
+                for kk in itertools.count(1):
+                    beta = matrix_tau(m, (ip, i), -kk)
+                    if beta is None:
+                        break
                     sigma_beta = (beta[1], beta[0])
                     eps = 1 if precedes(m, *sigma_beta) else 0
                     row[b_index(sigma_beta)] += (y ** eps) * x ** kk

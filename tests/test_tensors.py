@@ -133,7 +133,7 @@ def test_rmul_embed_three_factor_chain():
     assert rel_err(got, ref) < 1e-13
 
 
-def test_rmul_embed_validates_arguments():
+def test_embed_and_join_validate_arguments():
     with pytest.raises(ValueError):
         embed(unit2(2), (2, 2))
     with pytest.raises(ValueError):
@@ -145,21 +145,14 @@ def test_rmul_embed_validates_arguments():
 
 
 def test_tensor3_entries_at_one_position_add():
-    t = Tensor3(2, [0, 7, 0], [3, 7, 3], [1.0, 2j, -0.25])
+    rows, cols, vals = np.array([0, 7, 0]), np.array([3, 7, 3]), np.array([1.0, 2j, -0.25])
     want = np.zeros((8, 8), dtype=complex)
     want[0, 3], want[7, 7] = 0.75, 2j
-    assert np.array_equal(t.op_matrix(), want)
-    assert np.array_equal(Tensor3.sum([t, -t]).op_matrix(), np.zeros((8, 8)))
-    assert np.array_equal(Tensor3(2, [], [], []).op_matrix(), np.zeros((8, 8)))
-
-
-@pytest.mark.parametrize(
-    "rows,cols,vals",
-    [([0], [8], [1.0]), ([-1], [0], [1.0]), ([0, 1], [0], [1.0, 1.0]), ([[0]], [[0]], [[1.0]])],
-)
-def test_tensor3_validates_entries(rows, cols, vals):
-    with pytest.raises(ValueError):
-        Tensor3(2, rows, cols, vals)
+    assert np.array_equal(Tensor3(2, rows, cols, vals).op_matrix(), want)
+    both = Tensor3(2, np.r_[rows, rows], np.r_[cols, cols], np.r_[vals, -vals])
+    assert np.array_equal(both.op_matrix(), np.zeros((8, 8)))
+    none = Tensor3(2, np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))
+    assert np.array_equal(none.op_matrix(), np.zeros((8, 8)))
 
 
 def test_tensor3_is_frozen():

@@ -482,19 +482,24 @@ def test_sum_matches_dense_products(monkeypatch, n):
     # one-factor and three-factor products, and products that share their left factor
     runs = [(1, A), (-1, A, B, C), (1, A, C), (-1, B, A), (-1, C), (1, C, A)]
     with_zero = [(1, A, B), (-1, (zero, (1, 2)), C), (1, B, (zero, (2, 3)), A)]
+    cache = {}  # shared by every call, as by the identities of one sample
     for products in cases + [runs, with_zero]:
         want = _dense_sum(*products)
-        rel = np.abs(verify._sum(*products) - want).max() / np.abs(want).max()
-        assert rel < 1e-13, products
-    assert not verify._sum((1, (zero, (1, 2)), B), (-1, C, (zero, (3, 1)))).any()
+        for got in (verify._sum(products, (), {}), verify._sum(products, (), cache)):
+            assert np.abs(got - want).max() / np.abs(want).max() < 1e-13, products
+    # rhs products are subtracted
+    want = _dense_sum(*runs[:2], *((-sign, *f) for sign, *f in runs[2:]))
+    assert np.abs(verify._sum(runs[:2], runs[2:], cache) - want).max() / np.abs(want).max() < 1e-13
+    assert not verify._sum(((1, (zero, (1, 2)), B),), ((1, C, (zero, (3, 1))),), {}).any()
 
     calls = []
     op_matrix = Tensor3.op_matrix
     monkeypatch.setattr(Tensor3, "op_matrix", lambda t: calls.append(t) or op_matrix(t))
-    for products in (runs, with_zero, cases[0]):
+    identities = [(runs, ()), (with_zero, cases[0]), (cases[1], cases[2])]
+    for k in (1, 2, 3):
         calls.clear()
-        verify._sum(*products)
-        assert len(calls) == 1  # one dense operator per call
+        verify._residual(*identities[:k])
+        assert len(calls) == k  # one dense operator per identity
 
 
 def test_sum_is_non_finite_where_a_join_drops_an_infinite_coefficient():
@@ -507,7 +512,25 @@ def test_sum_is_non_finite_where_a_join_drops_an_infinite_coefficient():
     assert np.isfinite((embed(*products[0][1]) @ embed(*products[0][2])).op_matrix()).all()
     with np.errstate(invalid="ignore"):
         assert not np.isfinite(_dense_sum(*products)).all()
-    assert np.isnan(verify._max_abs(verify._sum(*products)))
+    assert np.isnan(verify._residual((products, ())))
+    # the infinite coefficient only in the second identity of a call
+    finite = ((1, (Tensor2(2, cb), (1, 2)), (Tensor2(2, cb), (2, 3))),)
+    assert np.isfinite(verify._residual((finite, ())))
+    assert np.isnan(verify._residual((finite, ()), ((), products)))
+
+
+def test_a_sample_embeds_each_factor_and_joins_each_product_once(monkeypatch, bd4):
+    calls = []
+    embed_, join = verify.embed, Tensor3.__matmul__
+    monkeypatch.setattr(verify, "embed", lambda t, slots: calls.append("embed") or embed_(t, slots))
+    monkeypatch.setattr(Tensor3, "__matmul__", lambda a, b: calls.append("join") or join(a, b))
+    plan = SamplePlan(seed=0, count=1)
+    # cubic's e2 is in both of its differences; five of abc's factors are in two of its equations
+    residual_cubic(trigonometric_r(bd4), plan)
+    assert (calls.count("embed"), calls.count("join")) == (11, 8)
+    calls.clear()
+    residual_abc(OrderedBDStructure(bd4, (4, 1)), plan)
+    assert (calls.count("embed"), calls.count("join")) == (17, 11)
 
 
 def test_family_with_one_infinite_coefficient_fails_the_aybe_report():
