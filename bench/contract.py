@@ -77,13 +77,8 @@ def aybe_products(n: int) -> tuple:
 
 def term_products(products) -> int:
     """Entries the joins of ``products`` scatter into the operator."""
-    count = 0
-    for _, *factors in products:
-        term = embed(*factors[0])
-        for factor in factors[1:]:
-            term = term @ embed(*factor)
-        count += term.vals.size
-    return count
+    cache = {}
+    return sum(verify._product(factors, cache).vals.size for _, *factors in products)
 
 
 def timed(fn, products, repeats: int) -> tuple:

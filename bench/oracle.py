@@ -5,9 +5,10 @@
 It imports ``aybe`` from ``src/``.  For each N in ``NS`` and each column
 count n = 2..N+1 that ``matrix_from_sequence`` can give at that N, it builds
 one seeded simple matrix with ``perfbench.workloads.random_matrix`` and
-draws one guarded triple (x, y, y') as ``aybe oracle-compare`` does.  It then
-times ``massey_oracle`` and ``massey_closed`` on that triple, once per path
-in each of ``REPEATS`` repeats, and keeps the median.
+draws one triple (x, y, y') with ``SamplePlan(seed=SEED, count=1)`` under
+``multiplicative_guards(N)``, the rule ``aybe oracle-compare`` draws by.  It
+then times ``massey_oracle`` and ``massey_closed`` on that triple, once per
+path in each of ``REPEATS`` repeats, and keeps the median.
 
 One entry per (N, n) is appended to ``BENCH_oracle.json`` with wall and CPU
 milliseconds per call for both paths, |x^N - 1| (the oracle's substitution
@@ -31,8 +32,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import numpy as np  # noqa: E402
 
 from aybe.bundles import massey_closed, massey_oracle  # noqa: E402
+from aybe.solutions import SamplePlan, multiplicative_guards  # noqa: E402
 from perfbench import envinfo  # noqa: E402
-from perfbench.workloads import guarded_triples, random_matrix  # noqa: E402
+from perfbench.workloads import random_matrix  # noqa: E402
 
 SEED = 0
 NS = range(6, 15)
@@ -50,7 +52,8 @@ def call_ms(fn, *args) -> tuple[float, float]:
 def measure(n_rows: int, steps: int, repeats: int) -> dict:
     rng = np.random.default_rng([SEED, n_rows, steps])
     m = random_matrix(rng, n_rows, steps)
-    x, y, yp = guarded_triples(rng, n_rows, 1)[0]
+    guards, plan = multiplicative_guards(n_rows), SamplePlan(seed=SEED, count=1)
+    ((x, y, yp),) = plan.draw(3, lambda z: min(g.distance(*z) for g in guards) > plan.guard_margin)
     # also warms up both paths
     diff = massey_closed(m, x, y, yp).max_abs_diff(massey_oracle(m, x, y, yp))
     times = {"oracle": [], "closed": []}

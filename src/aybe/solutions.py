@@ -23,8 +23,10 @@ vector and scatters it into the array.  The classical limit reads the
 trigonometric table's Laurent constant and its v-dependent blocks at
 u = 0; the three-variable multiplicative form
 r(x; y, y') = a(x) + y b(x) - y' c(x) + y/(y' - y) P reads the same
-a/b/c table as ``abc_parts``.  The remaining families (u-only, nilpotent,
-rational, gauges and limits) are closed-form closures.
+a/b/c table as ``abc_parts``, P's N^2 entries appended: one scatter per
+value, as for the three parts at one x.  A family built on another calls
+its base's unguarded ``_fn``: its own guards cover the base's poles.  The rest
+(u-only, nilpotent, rational, gauges and limits) are closed-form closures.
 """
 
 from __future__ import annotations
@@ -152,10 +154,8 @@ class SamplePlan:
         rng = np.random.default_rng(self.seed)
         points, rejects = [], 0
         while len(points) < self.count:
-            z = tuple(
-                complex(rng.uniform(-RECT, RECT), rng.uniform(-RECT, RECT))
-                for _ in range(nvars)
-            )
+            # real and imaginary parts alternate, as 2 * nvars scalar draws would give them
+            z = tuple(rng.uniform(-RECT, RECT, 2 * nvars).view(complex).tolist())
             if ok(z):
                 points.append(z)
             else:
@@ -258,7 +258,7 @@ def quantum_R(bd: BDStructure) -> RFun:
     n = bd.n
 
     def fn(u, v):
-        return (1.0 / _quantum_scale(u, v)) * base(u, v)
+        return (1.0 / _quantum_scale(u, v)) * base._fn(u, v)
 
     # sinh(u/2) and sinh(v/2) vanish where base's guards do: e^u - 1 = 2 e^{u/2} sinh(u/2)
     guards = base.guards + (
@@ -275,7 +275,7 @@ def quantum_R(bd: BDStructure) -> RFun:
 class _AbcTable(NamedTuple):
     """One row per term of a(x), b(x) and c(x), sorted by part (0, 1, 2 for
     a, b, c): the term adds sign * x^e, times q = 1/(1 - x^N) where geo is
-    set, at the flat index idx of its part; part p fills rows cuts[p]:cuts[p+1]."""
+    set, at the flat index idx of its part."""
 
     n: int
     idx: np.ndarray
@@ -283,7 +283,6 @@ class _AbcTable(NamedTuple):
     e: np.ndarray
     sign: np.ndarray
     geo: np.ndarray
-    cuts: tuple[int, int, int, int]
 
     def weights(self, x) -> np.ndarray:
         x = complex(x)
@@ -308,11 +307,11 @@ def _abc_table(obd: OrderedBDStructure) -> _AbcTable:
             rows += [(0, (i, j, ck_j, ck_i), 1, k, False), (0, (ck_j, ck_i, i, j), -1, -k, False)]
         else:
             rows += [(1, (i, j, ck_j, ck_i), 1, k, False), (2, (ck_j, ck_i, i, j), 1, -k, False)]
+    # multiplicative_r scatters these rows, then P's, in one call: its sums, so its bits, follow this order
     rows.sort(key=lambda row: row[0])
     part, quads, sign, e, geo = (np.array(col) for col in zip(*rows))
-    cuts = (0, *np.searchsorted(part, (1, 2)).tolist(), len(part))
-    table = _AbcTable(n, _flat(n, quads), part, e, sign, geo, cuts)
-    for column in table[1:-1]:
+    table = _AbcTable(n, _flat(n, quads), part, e, sign, geo)
+    for column in table[1:]:
         column.setflags(write=False)  # the cache hands the same arrays to every caller
     return table
 
@@ -333,9 +332,9 @@ def abc_parts(obd: OrderedBDStructure, x) -> tuple[Tensor2, Tensor2, Tensor2]:
     x = complex(x)
     if x_pole_distance(n, x) <= HARD_GUARD:
         raise PoleError(f"abc parts evaluated at a pole: x={x}")
-    w = table.weights(x)
-    cuts = table.cuts
-    return tuple(_scatter(n, table.idx[a:b], w[a:b]) for a, b in zip(cuts, cuts[1:]))
+    coeffs = np.zeros((3, n ** 4), dtype=complex)
+    np.add.at(coeffs.reshape(-1), table.part * n ** 4 + table.idx, table.weights(x))
+    return tuple(Tensor2(n, part.reshape(n, n, n, n)) for part in coeffs)
 
 
 def multiplicative_r(obd: OrderedBDStructure) -> RFun:
@@ -347,11 +346,12 @@ def multiplicative_r(obd: OrderedBDStructure) -> RFun:
     """
     table = _abc_table(obd)
     n = obd.n
-    P = perm_P(n)
+    labels = range(1, n + 1)
+    idx = np.concatenate((table.idx, _flat(n, np.array([(i, j, j, i) for i in labels for j in labels]))))
 
     def fn(x, y, yp):
         w = table.weights(x) * np.array((1.0, y, -yp))[table.part]
-        return _scatter(n, table.idx, w) + (y / (yp - y)) * P
+        return _scatter(n, idx, np.concatenate((w, np.full(n * n, y / (yp - y)))))
 
     return RFun(n, "multiplicative", 3, fn, multiplicative_guards(n))
 
@@ -374,7 +374,7 @@ def difference_form(obd: OrderedBDStructure) -> RFun:
     y' = e^{v2}; each coefficient of e_pq (x) e_rs picks up the factor
     e^{[(pos q - pos p) v1 + (pos s - pos r) v2]/N}.  The result equals
     minus the trigonometric solution of the inverse structure at
-    (u1 - u2, v1 - v2).
+    (u1 - u2, v1 - v2), so y or y' near 0 (far left v1, v2) is no pole.
     """
     rm = multiplicative_r(obd)
     n = obd.n
@@ -383,7 +383,7 @@ def difference_form(obd: OrderedBDStructure) -> RFun:
     def fn(u1, u2, v1, v2):
         x = np.exp((u1 - u2) / n)
         y, yp = np.exp(v1), np.exp(v2)
-        t = rm(x, y, yp)
+        t = rm._fn(x, y, yp)
         dp = pos[None, :] - pos[:, None]  # dp[p, q] = pos[q] - pos[p]
         m1 = np.exp(dp * v1 / n)
         m2 = np.exp(dp * v2 / n)
@@ -422,19 +422,18 @@ def gauge_transform(r: RFun, lam=0.0, c=1.0, cprime=1.0, a=None, b=None) -> RFun
     a = np.zeros((n, n), dtype=complex) if a is None else as_matrix(a, n)
     b = np.zeros((n, n), dtype=complex) if b is None else as_matrix(b, n)
     plan = SamplePlan(seed=20240517, count=3, guard_margin=0.25)
-    pts = plan.draw(r.arity, lambda z: r.pole_distance(*z) > plan.guard_margin)
+    values = [r(*pt) for pt in plan.draw(r.arity, lambda z: r.pole_distance(*z) > plan.guard_margin)]
     for name, m in (("a", a), ("b", b)):
         if np.abs(m - np.diag(np.diag(m))).max() > 1e-12:
             raise ValueError(f"gauge symmetry {name} must be diagonal")
-        for pt in pts:
-            res = sym_commutator(r(*pt), m).max_abs()
-            if res > 1e-8 * (1.0 + r(*pt).max_abs()):
+        for t in values:
+            if sym_commutator(t, m).max_abs() > 1e-8 * (1.0 + t.max_abs()):
                 raise ValueError(f"gauge matrix {name} is not an infinitesimal symmetry")
     da = np.diag(a)
     db = np.diag(b)
 
     def fn(u, v):
-        t = r(c * u, cprime * v)
+        t = r._fn(c * u, cprime * v)
         left1 = np.exp(v * db)            # e^{v b} acting on the first factor
         left2 = np.exp(u * da)            # e^{u a} acting on the second factor
         right1 = np.exp(-(u * da + v * db))
@@ -617,7 +616,7 @@ def s_product(r: RFun) -> RFun:
         raise ValueError("s-product needs a two-variable function")
 
     def fn(u, v):
-        return compose2(r(u, v), r(-u, v))
+        return compose2(r._fn(u, v), r._fn(-u, v))
 
     guards = tuple(
         Guard(g.name, g.slots, (lambda gg: lambda u, v: min(gg.distance(u, v), gg.distance(-u, v)))(g))

@@ -6,7 +6,9 @@ import pytest
 from aybe.bundles import bd_from_matrix, massey_tensor, matrix_from_sequence
 from aybe.solutions import (
     HARD_GUARD,
+    RECT,
     PoleError,
+    RFun,
     abc_parts,
     classical_r0,
     difference_form,
@@ -232,6 +234,41 @@ def test_difference_form_scalar_case(rng):
     lhs = df(u1, u2, v1, v2)
     rhs = rm(np.exp(u1 - u2), np.exp(v1), np.exp(v2))
     assert (lhs - rhs).max_abs() < 1e-12
+
+
+def test_difference_form_evaluates_where_y_prime_is_near_zero():
+    # y' = e^-30 lies below HARD_GUARD, but the form's poles are only where its two guards vanish
+    obd = enumerate_ordered(3)[4]
+    df = difference_form(obd)
+    z = (0.3, 0.1, 0.2, -30.0)
+    assert df.pole_distance(*z) > 0.2
+    t = df(*z)
+    ref = -1 * trigonometric_r(obd.bd.inverse())(0.2, 30.2)
+    assert isinstance(t, Tensor2) and np.isfinite(t.coeffs).all()
+    assert (t - ref).max_abs() < 1e-10 * ref.max_abs()
+
+
+UV = (0.9 + 0.3j, -0.7 + 0.4j)
+
+#: derived family -> its value's arguments; each is built on a guarded base family
+DERIVED = {
+    "quantum": (lambda obd: quantum_R(obd.bd), UV),
+    "s_product": (lambda obd: s_product(trigonometric_r(obd.bd)), UV),
+    "gauge": (lambda obd: gauge_transform(trigonometric_r(obd.bd), lam=0.3, c=1.5), UV),
+    "difference": (difference_form, (0.3, 0.1 + 0.2j, 0.2, -0.5 + 0.1j)),
+}
+
+
+@pytest.mark.parametrize("family", DERIVED)
+def test_derived_family_value_makes_one_guarded_call(monkeypatch, family):
+    # the family's own guards cover its base's poles, so the base is not guarded again
+    build, z = DERIVED[family]
+    r = build(enumerate_ordered(3)[4])
+    calls = []
+    call = RFun.__call__
+    monkeypatch.setattr(RFun, "__call__", lambda self, *args: calls.append(self.kind) or call(self, *args))
+    r(*z)
+    assert calls == [r.kind]
 
 
 # ---------------------------------------------------------------------------
@@ -671,3 +708,21 @@ def test_abc_parts_table_matches_reference_loops():
                 x = rand_complex(rng)
             for part, new, ref in zip("abc", abc_parts(obd, x), ref_abc_parts(obd, x)):
                 _assert_matches(new.coeffs, ref, (part, obd, x))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_draw_keeps_the_stream_of_one_scalar_draw_per_part(seed):
+    # a seed must keep its samples: each candidate reads 2 nvars uniforms, real part before imaginary
+    def ok(z):
+        return abs(z[0]) > 1.0
+
+    for nvars in range(1, 7):
+        rng = np.random.default_rng(seed)
+        want = []
+        while len(want) < 20:
+            z = tuple(complex(rng.uniform(-RECT, RECT), rng.uniform(-RECT, RECT)) for _ in range(nvars))
+            if ok(z):
+                want.append(z)
+        got = SamplePlan(seed=seed, count=20).draw(nvars, ok)
+        assert got == want
+        assert all(type(w) is complex for z in got for w in z)
